@@ -6,9 +6,13 @@
 //! structured output (table, CSV, JSON). A campaign is a set of labelled
 //! *points* (parameter values of a sweep — a BER, a sniff interval, …),
 //! each sampled with `runs` independent seeds; all `points × runs` jobs
-//! are flattened into one [`btsim_stats::run_campaign`] batch, so every
-//! point of a sweep runs in parallel and the result is bit-reproducible
-//! for a fixed base seed regardless of the thread count.
+//! are flattened into one [`btsim_stats::run_campaign`] batch, laid out
+//! point by point. Idle workers claim the next job one at a time, so a
+//! sweep whose points differ in cost (a noisy BER point, a long hold
+//! interval) keeps every core busy to its end. Each job's outcome
+//! depends only on its seed and is stored at its job index, so the
+//! result is bit-reproducible for a fixed base seed regardless of the
+//! thread count or the order in which jobs finish.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

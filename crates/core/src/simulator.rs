@@ -2118,13 +2118,14 @@ impl Simulator {
                             self.medium.capture_mut().push(rec);
                         }
                     }
+                    // LMP PDUs drive the device's link manager; its
+                    // outputs apply after the event is logged.
+                    let outs = self.devices[dev].lm.on_lc_event(&event, now.slots());
                     self.events.push(LoggedEvent {
                         at: now,
                         device: dev,
-                        event: event.clone(),
+                        event,
                     });
-                    // LMP PDUs drive the device's link manager.
-                    let outs = self.devices[dev].lm.on_lc_event(&event, now.slots());
                     self.apply_lm_outputs(dev, outs, now);
                 }
             }

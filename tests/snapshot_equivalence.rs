@@ -395,3 +395,41 @@ proptest! {
         prop_assert_eq!(orig, rest);
     }
 }
+
+mod snapshot_images;
+
+/// Pins the v1 wire format: the length and 64-bit FNV-1a digest of
+/// each fixed-seed image in `snapshot_images` (whose module docs list
+/// which image covers which snapshotted types). Any change to the byte
+/// layout of any of those types fails here; such a change must bump
+/// `VERSION` in `simulator/snapshot.rs` and re-pin. The digests hold on
+/// IEEE-754 hosts whose libm matches the one they were recorded with
+/// (x86_64 Linux, glibc): a few images carry transcendental-derived
+/// `f64`s.
+#[test]
+fn v1_wire_format_is_pinned() {
+    const PINS: [(&str, usize, u64); 6] = [
+        ("inquiry", 30_021, 0x6b18_149e_6000_f3f0),
+        ("page", 5_647, 0x44a8_6c37_7f0c_9da2),
+        ("acl_saturated", 150_245, 0x066d_080d_8f33_97da),
+        ("power_modes", 45_656, 0x7ad4_f99b_cc8f_d220),
+        ("afh_capture", 206_148, 0x2d39_b7e7_6bcf_d781),
+        ("dense_floor_faulted", 894_957, 0x886a_65b1_c22b_9fbe),
+    ];
+    const METRICS_PIN: (usize, u64) = (751, 0x2cd8_a98b_5143_e1ee);
+    let images = snapshot_images::images();
+    assert_eq!(images.len(), PINS.len());
+    for ((name, bytes), (pin_name, len, digest)) in images.iter().zip(PINS) {
+        assert_eq!(*name, pin_name);
+        let got = (bytes.len(), snapshot_images::fnv1a(bytes));
+        assert_eq!(got, (len, digest), "{name}: v1 snapshot image changed");
+        let decoded = SimSnapshot::from_bytes(bytes).expect("pinned image decodes");
+        assert_eq!(&decoded.to_bytes(), bytes, "{name}: re-encoding differs");
+    }
+    let metrics = snapshot_images::metrics();
+    assert_eq!(
+        (metrics.len(), snapshot_images::fnv1a(&metrics)),
+        METRICS_PIN,
+        "metrics snapshot wire form changed"
+    );
+}

@@ -237,22 +237,16 @@ impl RxAssembler {
     }
 }
 
-impl btsim_kernel::Snap for TxMessage {
-    fn snap(&self, w: &mut btsim_kernel::SnapWriter) {
-        self.llid.snap(w);
-        self.data.snap(w);
-        w.put_usize(self.offset);
-    }
+btsim_kernel::snap_struct!(TxMessage { llid, data, offset }; validate = check_tx_message);
 
-    fn unsnap(r: &mut btsim_kernel::SnapReader<'_>) -> Result<Self, btsim_kernel::SnapshotError> {
-        let llid = Llid::unsnap(r)?;
-        let data = Vec::<u8>::unsnap(r)?;
-        let offset = r.take_usize()?;
-        if offset > data.len() {
-            return Err(r.malformed("tx fragment offset past message end"));
-        }
-        Ok(Self { llid, data, offset })
+fn check_tx_message(
+    m: &TxMessage,
+    r: &btsim_kernel::SnapReader<'_>,
+) -> Result<(), btsim_kernel::SnapshotError> {
+    if m.offset > m.data.len() {
+        return Err(r.malformed("tx fragment offset past message end"));
     }
+    Ok(())
 }
 
 impl btsim_kernel::Snap for TxBuffer {

@@ -6,32 +6,19 @@
 //! *directory* is not serialized: it is an index over the buckets and is
 //! rebuilt on decode exactly as [`Medium::gc`] rebuilds it, so the two
 //! structures cannot disagree after a restore.
+//!
+//! Plain field lists declare their wire form once with
+//! [`snap_struct!`](btsim_kernel::snap_struct); the impls written out
+//! by hand check values as they are read (RF channel range, spatial
+//! geometry, cell membership, transmission ids).
 
 use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 use super::*;
 
-impl Snap for TxId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TxId(r.take_u64()?))
-    }
-}
+btsim_kernel::snap_struct!(TxId { 0 });
 
-impl Snap for Position {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.x);
-        w.put_f64(self.y);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Position {
-            x: r.take_f64()?,
-            y: r.take_f64()?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(Position { x, y });
 
 impl Snap for SpatialConfig {
     fn snap(&self, w: &mut SnapWriter) {
@@ -51,78 +38,32 @@ impl Snap for SpatialConfig {
     }
 }
 
-impl Snap for Interferer {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.first_channel);
-        w.put_u8(self.width);
-        w.put_f64(self.duty);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Interferer {
-            first_channel: r.take_u8()?,
-            width: r.take_u8()?,
-            duty: r.take_f64()?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(Interferer {
+    first_channel,
+    width,
+    duty
+});
 
-impl Snap for ChannelConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.ber);
-        self.modem_delay.snap(w);
-        self.interferers.snap(w);
-        self.spatial.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ChannelConfig {
-            ber: r.take_f64()?,
-            modem_delay: Snap::unsnap(r)?,
-            interferers: Snap::unsnap(r)?,
-            spatial: Snap::unsnap(r)?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(ChannelConfig {
+    ber,
+    modem_delay,
+    interferers,
+    spatial
+});
 
-impl Snap for TxStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.transmissions);
-        w.put_u64(self.collided);
-        w.put_u64(self.jammed);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TxStats {
-            transmissions: r.take_u64()?,
-            collided: r.take_u64()?,
-            jammed: r.take_u64()?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(TxStats {
+    transmissions,
+    collided,
+    jammed
+});
 
-impl Snap for ChannelCounters {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.transmissions);
-        w.put_u64(self.collided);
-        w.put_u64(self.jammed);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ChannelCounters {
-            transmissions: r.take_u64()?,
-            collided: r.take_u64()?,
-            jammed: r.take_u64()?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(ChannelCounters {
+    transmissions,
+    collided,
+    jammed
+});
 
-impl Snap for ChannelQuality {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.counters.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ChannelQuality {
-            counters: Snap::unsnap(r)?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(ChannelQuality { counters });
 
 impl Snap for Transmission {
     fn snap(&self, w: &mut SnapWriter) {
@@ -160,43 +101,22 @@ impl Snap for Transmission {
     }
 }
 
-impl Snap for Degrade {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.target);
-        self.from.snap(w);
-        self.ramp.snap(w);
+btsim_kernel::snap_struct!(Degrade { target, from, ramp }; validate = check_degrade);
+
+fn check_degrade(d: &Degrade, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
+    if !(d.target.is_finite() && (0.0..=1.0).contains(&d.target)) {
+        return Err(r.malformed("degrade target BER out of range"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let d = Degrade {
-            target: r.take_f64()?,
-            from: Snap::unsnap(r)?,
-            ramp: Snap::unsnap(r)?,
-        };
-        if !(d.target.is_finite() && (0.0..=1.0).contains(&d.target)) {
-            return Err(r.malformed("degrade target BER out of range"));
-        }
-        Ok(d)
-    }
+    Ok(())
 }
 
-impl Snap for Radio {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.pos.snap(w);
-        (self.cell.0, self.cell.1).snap(w);
-        self.noise.snap(w);
-        w.put_u64(self.stream);
-        self.last_end.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Radio {
-            pos: Snap::unsnap(r)?,
-            cell: Snap::unsnap(r)?,
-            noise: Snap::unsnap(r)?,
-            stream: r.take_u64()?,
-            last_end: Snap::unsnap(r)?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(Radio {
+    pos,
+    cell,
+    noise,
+    stream,
+    last_end
+});
 
 /// Reads a 79-bucket array (one `Vec<Transmission>` per RF channel).
 fn unsnap_channel_buckets(r: &mut SnapReader<'_>) -> Result<Vec<Vec<Transmission>>, SnapshotError> {

@@ -131,21 +131,11 @@ impl MetricsSnapshot {
     }
 }
 
-impl Snap for MetricsSnapshot {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.at.snap(w);
-        self.counters.snap(w);
-        self.gauges.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at: SimTime::unsnap(r)?,
-            counters: Vec::unsnap(r)?,
-            gauges: Vec::unsnap(r)?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(MetricsSnapshot {
+    at,
+    counters,
+    gauges
+});
 
 /// The streaming side of the hub: owned by the simulator when
 /// [`crate::SimConfig::metrics_every`] is set, emitting one JSON line

@@ -23,271 +23,85 @@ const MAGIC: u32 = u32::from_le_bytes(*b"BTSN");
 /// Highest wire-format version this build reads and the one it writes.
 const VERSION: u32 = 1;
 
-impl Snap for Engine {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Engine::Lockstep => 0,
-            Engine::EventDriven => 1,
-        });
-    }
+btsim_kernel::snap_enum!(Engine, "unknown engine tag" {
+    0 => Lockstep,
+    1 => EventDriven,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Engine::Lockstep,
-            1 => Engine::EventDriven,
-            _ => return Err(r.malformed("unknown engine tag")),
-        })
-    }
-}
+btsim_kernel::snap_struct!(ActiveWindow {
+    id,
+    channel,
+    opened_at,
+    until
+});
 
-impl Snap for ActiveWindow {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u8(self.channel);
-        self.opened_at.snap(w);
-        self.until.snap(w);
-    }
+btsim_kernel::snap_struct!(PendingWindow {
+    id,
+    channel,
+    from,
+    until
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            id: r.take_u64()?,
-            channel: r.take_u8()?,
-            opened_at: SimTime::unsnap(r)?,
-            until: Option::unsnap(r)?,
-        })
-    }
-}
+btsim_kernel::snap_enum!(Ev, "unknown calendar event tag" {
+    0 => Tick(dev),
+    1 => Wake { seq },
+    2 => Command { dev, cmd, inserted },
+    3 => TxStart { dev, channel, bits },
+    4 => Deliver { tx, listeners },
+    5 => WindowOpen { dev, id },
+    6 => WindowClose { dev, id },
+    7 => Fault { idx },
+});
 
-impl Snap for PendingWindow {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u8(self.channel);
-        self.from.snap(w);
-        self.until.snap(w);
-    }
+btsim_kernel::snap_struct!(LoggedEvent { at, device, event });
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            id: r.take_u64()?,
-            channel: r.take_u8()?,
-            from: SimTime::unsnap(r)?,
-            until: Option::unsnap(r)?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(LoggedLmEvent { at, device, event });
 
-impl Snap for Ev {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::Tick(dev) => {
-                w.put_u8(0);
-                w.put_usize(*dev);
-            }
-            Ev::Wake { seq } => {
-                w.put_u8(1);
-                w.put_u64(*seq);
-            }
-            Ev::Command { dev, cmd, inserted } => {
-                w.put_u8(2);
-                w.put_usize(*dev);
-                cmd.snap(w);
-                inserted.snap(w);
-            }
-            Ev::TxStart { dev, channel, bits } => {
-                w.put_u8(3);
-                w.put_usize(*dev);
-                w.put_u8(*channel);
-                bits.snap(w);
-            }
-            Ev::Deliver { tx, listeners } => {
-                w.put_u8(4);
-                tx.snap(w);
-                listeners.snap(w);
-            }
-            Ev::WindowOpen { dev, id } => {
-                w.put_u8(5);
-                w.put_usize(*dev);
-                w.put_u64(*id);
-            }
-            Ev::WindowClose { dev, id } => {
-                w.put_u8(6);
-                w.put_usize(*dev);
-                w.put_u64(*id);
-            }
-            Ev::Fault { idx } => {
-                w.put_u8(7);
-                w.put_usize(*idx);
-            }
-        }
-    }
+btsim_kernel::snap_struct!(DeviceCell {
+    lc,
+    lm,
+    active,
+    pending,
+    rx_busy_until,
+    sig_tx,
+    sig_rx,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Ev::Tick(r.take_usize()?),
-            1 => Ev::Wake { seq: r.take_u64()? },
-            2 => Ev::Command {
-                dev: r.take_usize()?,
-                cmd: LcCommand::unsnap(r)?,
-                inserted: SimTime::unsnap(r)?,
-            },
-            3 => Ev::TxStart {
-                dev: r.take_usize()?,
-                channel: r.take_u8()?,
-                bits: BitVec::unsnap(r)?,
-            },
-            4 => Ev::Deliver {
-                tx: TxId::unsnap(r)?,
-                listeners: Vec::unsnap(r)?,
-            },
-            5 => Ev::WindowOpen {
-                dev: r.take_usize()?,
-                id: r.take_u64()?,
-            },
-            6 => Ev::WindowClose {
-                dev: r.take_usize()?,
-                id: r.take_u64()?,
-            },
-            7 => Ev::Fault {
-                idx: r.take_usize()?,
-            },
-            _ => return Err(r.malformed("unknown calendar event tag")),
-        })
-    }
-}
-
-impl Snap for LoggedEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.at.snap(w);
-        w.put_usize(self.device);
-        self.event.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at: SimTime::unsnap(r)?,
-            device: r.take_usize()?,
-            event: LcEvent::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for LoggedLmEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.at.snap(w);
-        w.put_usize(self.device);
-        self.event.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at: SimTime::unsnap(r)?,
-            device: r.take_usize()?,
-            event: LmEvent::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for DeviceCell {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.lc.snap(w);
-        self.lm.snap(w);
-        self.active.snap(w);
-        self.pending.snap(w);
-        self.rx_busy_until.snap(w);
-        self.sig_tx.snap(w);
-        self.sig_rx.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            lc: LinkController::unsnap(r)?,
-            lm: LinkManager::unsnap(r)?,
-            active: Option::unsnap(r)?,
-            pending: Vec::unsnap(r)?,
-            rx_busy_until: SimTime::unsnap(r)?,
-            sig_tx: SignalRef::unsnap(r)?,
-            sig_rx: SignalRef::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for Simulator {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.cal.snap(w);
-        self.medium.snap(w);
-        self.devices.snap(w);
-        self.monitor.snap(w);
-        self.recorder.snap(w);
-        self.events.snap(w);
-        self.lm_events.snap(w);
-        w.put_u64(self.next_window_id);
-        w.put_u32(self.steps_since_gc);
-        w.put_usize(self.inspect_cursor);
-        self.engine.snap(w);
-        self.fidelity.snap(w);
-        self.error_model.snap(w);
-        self.modem_delay.snap(w);
-        self.peek.snap(w);
-        self.run_cap.snap(w);
-        self.wake.snap(w);
-        w.put_u64(self.wake_seq);
-        w.put_u64(self.steps_total);
-        w.put_u64(self.fidelity_promotions);
-        w.put_u64(self.fidelity_demotions);
-        self.metrics.snap(w);
-        self.shards.snap(w);
-        self.shard_of.snap(w);
-        self.shard_globals.snap(w);
-        self.merge_done.snap(w);
-        w.put_usize(self.workers);
-        self.comp_of.snap(w);
-        self.faults.snap(w);
-        self.crashed.snap(w);
-        self.muted.snap(w);
-        self.drifted.snap(w);
-        w.put_u64(self.faults_applied);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let sim = Simulator {
-            cal: Calendar::unsnap(r)?,
-            medium: Medium::unsnap(r)?,
-            devices: Vec::unsnap(r)?,
-            monitor: PowerMonitor::unsnap(r)?,
-            recorder: TraceRecorder::unsnap(r)?,
-            events: Vec::unsnap(r)?,
-            lm_events: Vec::unsnap(r)?,
-            next_window_id: r.take_u64()?,
-            steps_since_gc: r.take_u32()?,
-            inspect_cursor: r.take_usize()?,
-            engine: Engine::unsnap(r)?,
-            fidelity: Fidelity::unsnap(r)?,
-            error_model: ErrorModel::unsnap(r)?,
-            modem_delay: SimDuration::unsnap(r)?,
-            peek: SimDuration::unsnap(r)?,
-            run_cap: SimTime::unsnap(r)?,
-            wake: Vec::unsnap(r)?,
-            wake_seq: r.take_u64()?,
-            steps_total: r.take_u64()?,
-            fidelity_promotions: r.take_u64()?,
-            fidelity_demotions: r.take_u64()?,
-            metrics: Option::unsnap(r)?,
-            shards: Vec::unsnap(r)?,
-            shard_of: Vec::unsnap(r)?,
-            shard_globals: Vec::unsnap(r)?,
-            merge_done: Vec::unsnap(r)?,
-            workers: r.take_usize()?,
-            comp_of: Vec::unsnap(r)?,
-            faults: FaultPlan::unsnap(r)?,
-            crashed: Vec::unsnap(r)?,
-            muted: Vec::unsnap(r)?,
-            drifted: Vec::unsnap(r)?,
-            faults_applied: r.take_u64()?,
-        };
-        validate(&sim, r)?;
-        Ok(sim)
-    }
-}
+btsim_kernel::snap_struct!(Simulator {
+    cal,
+    medium,
+    devices,
+    monitor,
+    recorder,
+    events,
+    lm_events,
+    next_window_id,
+    steps_since_gc,
+    inspect_cursor,
+    engine,
+    fidelity,
+    error_model,
+    modem_delay,
+    peek,
+    run_cap,
+    wake,
+    wake_seq,
+    steps_total,
+    fidelity_promotions,
+    fidelity_demotions,
+    metrics,
+    shards,
+    shard_of,
+    shard_globals,
+    merge_done,
+    workers,
+    comp_of,
+    faults,
+    crashed,
+    muted,
+    drifted,
+    faults_applied,
+}; validate = validate);
 
 /// Structural invariants every decoded simulator must satisfy before it
 /// can run: any index a dispatch path uses unchecked is range-checked

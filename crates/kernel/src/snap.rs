@@ -28,7 +28,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
 use crate::wire::Wire;
 
 /// Why a snapshot byte stream was rejected.
@@ -326,6 +325,126 @@ macro_rules! snap_prim {
     };
 }
 
+/// Implements [`Snap`] for a struct from one list of its fields: `snap`
+/// writes them in the listed order and `unsnap` reads them back in the
+/// same order, so the two can never disagree. Tuple structs list their
+/// positions (`snap_struct!(Id { 0 })`).
+///
+/// Two optional tails, after a `;`:
+/// * `field = expr, …` — fields left out of the wire form and rebuilt
+///   on decode (a cache, say);
+/// * `validate = path` — a post-decode check,
+///   `fn(&Self, &SnapReader) -> Result<(), SnapshotError>`.
+///
+/// ```
+/// use btsim_kernel::{snap_struct, Snap, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     lo: u32,
+///     hi: u32,
+///     cache: Vec<u8>,
+/// }
+/// snap_struct!(Span { lo, hi }; cache = Vec::new());
+///
+/// let mut w = SnapWriter::new();
+/// Span { lo: 1, hi: 2, cache: vec![9] }.snap(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes, [1, 0, 0, 0, 2, 0, 0, 0]);
+/// let back = Span::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!(back, Span { lo: 1, hi: 2, cache: vec![] });
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    (@impl $ty:ty { $($field:tt),* } [$($rebuilt:ident = $init:expr),*] [$($check:path)?]) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                $($crate::snap::Snap::snap(&self.$field, w);)*
+            }
+
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapshotError> {
+                let v = Self {
+                    $($field: $crate::snap::Snap::unsnap(r)?,)*
+                    $($rebuilt: $init,)*
+                };
+                $($check(&v, r)?;)?
+                Ok(v)
+            }
+        }
+    };
+    ($ty:ty { $($field:tt),* $(,)? }; validate = $check:path) => {
+        $crate::snap_struct!(@impl $ty { $($field),* } [] [$check]);
+    };
+    ($ty:ty { $($field:tt),* $(,)? } $(; $($rebuilt:ident = $init:expr),+)?) => {
+        $crate::snap_struct!(@impl $ty { $($field),* } [$($($rebuilt = $init),+)?] []);
+    };
+}
+
+/// Implements [`Snap`] for an enum from one list of its tagged
+/// variants: each writes its `u8` tag, then its fields in the listed
+/// order. Unit, tuple and record variants are all listed the same way
+/// (tuple fields are named for the list only). An unknown tag decodes
+/// to [`SnapshotError::Malformed`] carrying the given message.
+///
+/// ```
+/// use btsim_kernel::{snap_enum, Snap, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Cmd {
+///     Stop,
+///     Move(u8, u8),
+///     Say { text: String },
+/// }
+/// snap_enum!(Cmd, "unknown command tag" {
+///     0 => Stop,
+///     1 => Move(dx, dy),
+///     2 => Say { text },
+/// });
+///
+/// let mut w = SnapWriter::new();
+/// Cmd::Move(3, 4).snap(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes, [1, 3, 4]);
+/// assert_eq!(Cmd::unsnap(&mut SnapReader::new(&bytes)).unwrap(), Cmd::Move(3, 4));
+/// assert!(Cmd::unsnap(&mut SnapReader::new(&[7])).is_err());
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ty, $unknown:literal {
+        $($tag:literal => $variant:ident
+            $(($($tf:ident),*))?
+            $({$($rf:ident),*})?
+        ),* $(,)?
+    }) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(Self::$variant $(($($tf),*))? $({$($rf),*})? => {
+                        w.put_u8($tag);
+                        $($($crate::snap::Snap::snap($tf, w);)*)?
+                        $($($crate::snap::Snap::snap($rf, w);)*)?
+                    })*
+                }
+            }
+
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapshotError> {
+                Ok(match r.take_u8()? {
+                    $($tag => {
+                        $($(let $tf = $crate::snap::Snap::unsnap(r)?;)*)?
+                        $($(let $rf = $crate::snap::Snap::unsnap(r)?;)*)?
+                        Self::$variant $(($($tf),*))? $({$($rf),*})?
+                    })*
+                    _ => return Err(r.malformed($unknown)),
+                })
+            }
+        }
+    };
+}
+
 snap_prim!(u8, put_u8, take_u8);
 snap_prim!(u16, put_u16, take_u16);
 snap_prim!(u32, put_u32, take_u32);
@@ -448,47 +567,17 @@ impl<T: Snap, const N: usize> Snap for [T; N] {
     }
 }
 
-impl Snap for SimTime {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.ns());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SimTime::from_ns(r.take_u64()?))
-    }
-}
-
-impl Snap for SimDuration {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.ns());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SimDuration::from_ns(r.take_u64()?))
-    }
-}
-
-impl Snap for Wire {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Wire::L0 => 0,
-            Wire::L1 => 1,
-            Wire::Z => 2,
-            Wire::X => 3,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Wire::L0,
-            1 => Wire::L1,
-            2 => Wire::Z,
-            3 => Wire::X,
-            _ => return Err(r.malformed("wire level tag out of range")),
-        })
-    }
-}
+snap_enum!(Wire, "wire level tag out of range" {
+    0 => L0,
+    1 => L1,
+    2 => Z,
+    3 => X,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::{SimDuration, SimTime};
 
     fn roundtrip<T: Snap + PartialEq + fmt::Debug>(v: &T) -> Vec<u8> {
         let mut w = SnapWriter::new();

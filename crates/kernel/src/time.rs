@@ -157,6 +157,9 @@ impl fmt::Display for SimDuration {
     }
 }
 
+crate::snap_struct!(SimTime { 0 });
+crate::snap_struct!(SimDuration { 0 });
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -321,21 +321,11 @@ impl<P: Copy + Ord + Debug> PowerMonitor<P> {
 
 use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
 
-impl Snap for PhaseTotals {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.tx_ns);
-        w.put_u64(self.rx_ns);
-        w.put_u64(self.phase_ns);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            tx_ns: r.take_u64()?,
-            rx_ns: r.take_u64()?,
-            phase_ns: r.take_u64()?,
-        })
-    }
-}
+btsim_kernel::snap_struct!(PhaseTotals {
+    tx_ns,
+    rx_ns,
+    phase_ns
+});
 
 impl<P: Snap + Copy + Ord> Snap for DeviceAccount<P> {
     fn snap(&self, w: &mut SnapWriter) {

@@ -1751,9 +1751,7 @@ pub fn scat_speed(opts: &ExpOptions) -> ScatSpeed {
         .iter()
         .map(|&n| {
             // Form the topology outside the timed region so the number
-            // is pure steady-state engine throughput, matching the
-            // `scatternet_scaling` criterion bench (which isolates
-            // formation in its batched setup).
+            // is pure steady-state engine throughput.
             let mut topo = crate::net::Topology::new();
             for p in 0..n {
                 topo.piconet(&format!("p{p}"), 1);

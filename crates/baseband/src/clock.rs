@@ -123,6 +123,8 @@ impl Clock {
     }
 }
 
+btsim_kernel::snap_struct!(Clock { start });
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,15 +10,14 @@
 //! Plain field lists and tagged enums declare their wire form once, with
 //! [`snap_struct!`] and [`snap_enum!`]. The impls written out by hand
 //! are the ones that check a value as it is read — BD_ADDR width, clock
-//! range, RF channels < 79, the AFH map floor — or rebuild a value from
-//! its wire form (the clock from its start value). Decoding is total:
+//! range, RF channels < 79, the AFH map floor. Decoding is total:
 //! malformed bytes produce a [`SnapshotError`], never a panic, and every
 //! check runs before any panicking constructor.
 
 use btsim_kernel::{snap_enum, snap_struct, SimTime, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::address::BdAddr;
-use crate::clock::{ClkVal, Clock, CLK_WRAP};
+use crate::clock::{ClkVal, CLK_WRAP};
 use crate::hop::{ChannelMap, CHANNELS, CHANNEL_MAP_BYTES};
 use crate::packet::{self, Llid, PacketType};
 
@@ -62,16 +61,6 @@ impl Snap for ClkVal {
             return Err(r.malformed("clock value wider than 28 bits"));
         }
         Ok(ClkVal::new(raw))
-    }
-}
-
-impl Snap for Clock {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.start_value().snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Clock::new(ClkVal::unsnap(r)?))
     }
 }
 
@@ -407,6 +396,7 @@ snap_struct!(LinkController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Clock;
     use btsim_kernel::SimRng;
     use std::collections::VecDeque;
 

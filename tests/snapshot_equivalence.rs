@@ -433,3 +433,42 @@ fn v1_wire_format_is_pinned() {
         "metrics snapshot wire form changed"
     );
 }
+
+/// Pins the public state of each fixed-seed image, at the split and
+/// after a wire roundtrip plus 1,000 more slots
+/// (`snapshot_images::state_digest`). The byte pins above move with
+/// every wire-format version; these do not, so they hold the
+/// simulator's behaviour — sharded floor included — across a change of
+/// the format.
+#[test]
+fn pinned_images_state_is_pinned() {
+    const PINS: [(&str, u64, u64); 6] = [
+        ("inquiry", 0x132e_d1eb_e71c_8bb1, 0xd03a_ecd5_f358_a62f),
+        ("page", 0x1719_32db_e2ca_8453, 0xc4b5_4ffd_6f6c_4187),
+        (
+            "acl_saturated",
+            0xb214_978f_35ee_4818,
+            0xa0b0_4554_97ce_1497,
+        ),
+        ("power_modes", 0x0b4a_b7bd_ce1f_47c0, 0x7132_3495_e5d3_e655),
+        ("afh_capture", 0x40e6_38c6_d894_d301, 0xff84_359f_f2a3_1a0c),
+        (
+            "dense_floor_faulted",
+            0xda52_6c29_52f7_ef4f,
+            0xc6bc_02cc_140a_3f1d,
+        ),
+    ];
+    let got: Vec<(&str, u64, u64)> = snapshot_images::sims()
+        .into_iter()
+        .map(|(name, sim)| {
+            let split = snapshot_images::state_digest(&sim);
+            let bytes = sim.snapshot().to_bytes();
+            let mut restored = SimSnapshot::from_bytes(&bytes)
+                .expect("pinned image decodes")
+                .restore();
+            restored.run_until(restored.now() + SimDuration::from_slots(1_000));
+            (name, split, snapshot_images::state_digest(&restored))
+        })
+        .collect();
+    assert_eq!(got, PINS, "state digests (at split, continued) changed");
+}

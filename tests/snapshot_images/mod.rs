@@ -354,9 +354,9 @@ pub fn dense_floor_faulted() -> Simulator {
     sim
 }
 
-/// Every pinned simulator image, by name.
-pub fn images() -> Vec<(&'static str, Vec<u8>)> {
-    [
+/// Every pinned simulator, by name.
+pub fn sims() -> Vec<(&'static str, Simulator)> {
+    vec![
         ("inquiry", inquiry()),
         ("page", page()),
         ("acl_saturated", acl_saturated()),
@@ -364,9 +364,45 @@ pub fn images() -> Vec<(&'static str, Vec<u8>)> {
         ("afh_capture", afh_capture()),
         ("dense_floor_faulted", dense_floor_faulted()),
     ]
-    .into_iter()
-    .map(|(name, sim)| (name, sim.snapshot().to_bytes()))
-    .collect()
+}
+
+/// Every pinned simulator image, by name.
+pub fn images() -> Vec<(&'static str, Vec<u8>)> {
+    sims()
+        .into_iter()
+        .map(|(name, sim)| (name, sim.snapshot().to_bytes()))
+        .collect()
+}
+
+/// 64-bit FNV-1a over a simulator's public state: clock, medium
+/// counters, measured BER bits, RNG positions, dispatched steps,
+/// applied faults, and per device its LC and LM log entries and power
+/// ledger. The logs are projected per device, so the digest does not
+/// depend on how a sharded run orders different devices' events at a
+/// shared instant. Unlike the image pins it holds across any change
+/// of the wire format.
+pub fn state_digest(sim: &Simulator) -> u64 {
+    use std::fmt::Write;
+    let mut s = format!(
+        "now={:?} tx={:?} ber={:#x} rng={:#x} steps={} faults={}",
+        sim.now(),
+        sim.tx_stats(),
+        sim.measured_ber().to_bits(),
+        sim.rng_fingerprint(),
+        sim.steps_total(),
+        sim.faults_applied(),
+    );
+    for d in 0..sim.device_count() {
+        let events: Vec<_> = sim.events().iter().filter(|e| e.device == d).collect();
+        let lm: Vec<_> = sim.lm_events().iter().filter(|e| e.device == d).collect();
+        write!(
+            s,
+            "\ndev{d}: events={events:?} lm={lm:?} power={:?}",
+            sim.power_report(d)
+        )
+        .expect("string write");
+    }
+    fnv1a(s.as_bytes())
 }
 
 /// The `MetricsSnapshot` wire form of the `afh_capture` simulator.

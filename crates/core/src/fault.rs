@@ -39,10 +39,14 @@
 //! The parser is strict: unknown kinds or keys, duplicate or missing
 //! keys, malformed numbers and out-of-range values are all errors.
 
-use btsim_kernel::{SimRng, Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_kernel::{SimDuration, SimRng, Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Number of RF channels (mirrors the channel crate's constant).
 const RF_CHANNELS: u8 = 79;
+
+/// The latest slot whose start is representable as a `SimTime` (and the
+/// longest span in slots representable as a `SimDuration`).
+const MAX_SLOT: u64 = u64::MAX / SimDuration::SLOT.ns();
 
 /// What a single fault event does (see the module grammar table).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -254,6 +258,9 @@ fn parse_event(frag: &str) -> Result<FaultEvent, String> {
     let at_slot: u64 = slot_s
         .parse()
         .map_err(|_| err("slot is not a non-negative integer"))?;
+    if at_slot > MAX_SLOT {
+        return Err(err(&format!("slot must be at most {MAX_SLOT}")));
+    }
     let mut kv = KvArgs::parse(args, frag)?;
     let (device, kind) = match kind_s {
         "crash" => (Some(kv.usize("dev")?), FaultKind::Crash),
@@ -268,11 +275,15 @@ fn parse_event(frag: &str) -> Result<FaultEvent, String> {
                 return Err(err("ber must be in [0, 1]"));
             }
             let ramp_slots = kv.u64_or("ramp", 0)?;
+            if ramp_slots > MAX_SLOT {
+                return Err(err(&format!("`ramp` must be at most {MAX_SLOT}")));
+            }
             (Some(dev), FaultKind::Degrade { ber, ramp_slots })
         }
         "drift" => {
             let dev = kv.usize("dev")?;
-            let ticks = kv.u64("ticks")? as u32;
+            let ticks = u32::try_from(kv.u64("ticks")?)
+                .map_err(|_| err(&format!("`ticks` must be at most {}", u32::MAX)))?;
             (Some(dev), FaultKind::Drift { ticks })
         }
         "noise_on" => {
@@ -371,9 +382,15 @@ impl<'a> KvArgs<'a> {
     fn band(&mut self) -> Result<(u8, u8), String> {
         let lo = self.u64("lo")?;
         let width = self.u64("width")?;
-        if width == 0 || lo + width > RF_CHANNELS as u64 {
+        if lo >= RF_CHANNELS as u64 {
             return Err(format!(
-                "fault `{}`: band must satisfy 0 < width and lo+width <= {RF_CHANNELS}",
+                "fault `{}`: `lo` must be below {RF_CHANNELS}",
+                self.frag
+            ));
+        }
+        if width == 0 || width > RF_CHANNELS as u64 - lo {
+            return Err(format!(
+                "fault `{}`: `width` must satisfy 0 < width and lo+width <= {RF_CHANNELS}",
                 self.frag
             ));
         }
@@ -499,6 +516,29 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    fn rejects_out_of_range_numbers_naming_the_key() {
+        for (bad, key) in [
+            ("noise_on@10:lo=18446744073709551615,width=1", "`lo`"),
+            ("noise_off@10:lo=1,width=18446744073709551615", "`width`"),
+            ("noise_on@10:lo=79,width=1", "`lo`"),
+            ("drift@10:dev=0,ticks=4294967296", "`ticks`"),
+            ("crash@30000000000000:dev=0", "slot"),
+            (
+                "degrade@1:dev=0,ber=0.1,ramp=18446744073709551615",
+                "`ramp`",
+            ),
+        ] {
+            let err = FaultPlan::parse(bad).expect_err(bad);
+            assert!(err.contains(key), "`{bad}`: {err}");
+        }
+        // The bounds themselves are accepted.
+        let edge = format!("drift@{MAX_SLOT}:dev=0,ticks=4294967295;noise_on@0:lo=78,width=1");
+        let plan = FaultPlan::parse(&edge).unwrap();
+        assert_eq!(plan.events()[1].at_slot, MAX_SLOT);
+        assert!(MAX_SLOT.checked_mul(SimDuration::SLOT.ns()).is_some());
     }
 
     #[test]

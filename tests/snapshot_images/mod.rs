@@ -333,6 +333,12 @@ pub fn afh_capture() -> Simulator {
     sim
 }
 
+/// The `dense_floor_faulted` fault plan: one event of every kind.
+pub const DENSE_FLOOR_FAULTS: &str =
+    "noise_on@2100:lo=10,width=8,duty=0.6;crash@2300:dev=1;mute@2350:dev=2;\
+     degrade@2400:dev=3,ber=0.02,ramp=300;drift@2450:dev=4,ticks=5;\
+     revive@3600:dev=1;unmute@3700:dev=2;heal@3800:dev=3;noise_off@3900:lo=10,width=8";
+
 /// A sharded, faulted spatial floor split mid-outage.
 pub fn dense_floor_faulted() -> Simulator {
     let mut cfg = DenseFloorConfig {
@@ -341,12 +347,7 @@ pub fn dense_floor_faulted() -> Simulator {
         ..DenseFloorConfig::default()
     };
     cfg.sim.shards = 4;
-    cfg.sim.faults = FaultPlan::parse(
-        "noise_on@2100:lo=10,width=8,duty=0.6;crash@2300:dev=1;mute@2350:dev=2;\
-         degrade@2400:dev=3,ber=0.02,ramp=300;drift@2450:dev=4,ticks=5;\
-         revive@3600:dev=1;unmute@3700:dev=2;heal@3800:dev=3;noise_off@3900:lo=10,width=8",
-    )
-    .expect("fault spec parses");
+    cfg.sim.faults = FaultPlan::parse(DENSE_FLOOR_FAULTS).expect("fault spec parses");
     let scenario = DenseFloorScenario::new(cfg);
     let mut sim = scenario.build(29);
     scenario.prepare(&mut sim).expect("floor forms");

@@ -312,6 +312,15 @@ impl TxStats {
     }
 }
 
+/// Field-wise sum, for aggregating the statistics of several media.
+impl std::ops::AddAssign for TxStats {
+    fn add_assign(&mut self, other: TxStats) {
+        self.transmissions += other.transmissions;
+        self.collided += other.collided;
+        self.jammed += other.jammed;
+    }
+}
+
 /// Counters of one RF channel inside a [`ChannelQuality`] view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelCounters {
@@ -388,6 +397,18 @@ impl ChannelQuality {
             };
         }
         out
+    }
+}
+
+/// Channel-wise, field-wise sum, for aggregating the counters of
+/// several media.
+impl std::ops::AddAssign<&ChannelQuality> for ChannelQuality {
+    fn add_assign(&mut self, other: &ChannelQuality) {
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            a.transmissions += b.transmissions;
+            a.collided += b.collided;
+            a.jammed += b.jammed;
+        }
     }
 }
 
@@ -705,17 +726,12 @@ impl Medium {
         self.rng.fingerprint()
     }
 
-    /// Fingerprint of one registered radio's private noise stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a spatial model or if `source` is unregistered.
-    pub fn noise_fingerprint_of(&self, source: usize) -> u64 {
-        assert!(
-            self.cfg.spatial.is_some(),
-            "noise_fingerprint_of requires ChannelConfig::spatial"
-        );
-        self.radio(source).noise.fingerprint()
+    /// Fingerprint of one registered radio's private noise stream;
+    /// `None` for an unregistered source (every source, without a
+    /// spatial model).
+    pub fn noise_fingerprint_of(&self, source: usize) -> Option<u64> {
+        let radio = self.radios.get(source)?.as_ref()?;
+        Some(radio.noise.fingerprint())
     }
 
     /// Raw (flipped, total) bit counters behind [`Medium::measured_ber`],

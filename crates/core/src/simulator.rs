@@ -1,8 +1,10 @@
 //! The system simulator: devices, channel and kernel wired together.
 //!
-//! [`Simulator`] owns the discrete-event calendar, the shared [`Medium`],
-//! one [`LinkController`] + [`LinkManager`] per device, the RF power
-//! monitor and the waveform recorder. It plays the role of the SystemC
+//! A [`Simulator`] is a set of cores, each owning a discrete-event
+//! calendar, a [`Medium`], one [`LinkController`] + [`LinkManager`] per
+//! device, the RF power monitor and the waveform recorder. A run has
+//! one core unless a spatial floor is sharded into its in-range
+//! components (`docs/SPATIAL.md`). A core plays the role of the SystemC
 //! netlist + kernel in the paper: half-slot ticks drive the baseband
 //! state machines, their RF actions become channel transmissions and
 //! receive windows, and `enable_tx_RF` / `enable_rx_RF` transitions are
@@ -179,13 +181,13 @@ pub struct SimConfig {
     /// `docs/SPATIAL.md`). With a spatial channel model
     /// ([`ChannelConfig::spatial`]) and `shards >= 2`, the device set
     /// is decomposed into connected components of the in-range graph;
-    /// each component runs as an independent inner simulator, and
-    /// `run_until` advances them on up to `shards` scoped worker
-    /// threads. Results are bit-identical to the unsharded (`shards ==
-    /// 1`) run regardless of the worker count. Without a spatial model
-    /// — or when tracing, packet capture or metrics streaming pin the
-    /// run to a single timeline — the knob is ignored and the run is
-    /// monolithic.
+    /// each component runs on a core of its own, and `run_until`
+    /// advances the cores on up to `shards` scoped worker threads.
+    /// Results are bit-identical to the unsharded (`shards == 1`) run
+    /// regardless of the worker count. Without a spatial model — or
+    /// when tracing, packet capture or metrics streaming pin the run to
+    /// a single timeline — the knob is ignored and the run has one
+    /// core.
     pub shards: usize,
     /// Deterministic fault script (`docs/FAULTS.md`): device crashes,
     /// radio mutes/degrades, clock jumps and noise bursts, scheduled as
@@ -428,16 +430,16 @@ impl SimBuilder {
     ///
     /// With a spatial channel model and [`SimConfig::shards`] ≥ 2, the
     /// device set is decomposed into connected components of the
-    /// in-range graph and each component becomes an independent inner
-    /// simulator (see `docs/SPATIAL.md`). Tracing, packet capture and
-    /// metrics streaming need a single merged timeline, so any of them
-    /// pins the build to the monolithic path.
+    /// in-range graph and each component gets a core of its own (see
+    /// `docs/SPATIAL.md`); otherwise all devices share one core.
+    /// Tracing, packet capture and metrics streaming need a single
+    /// timeline, so any of them pins the build to one core.
     pub fn build(self) -> Simulator {
+        let n = self.specs.len();
         if let Some(max) = self.cfg.faults.max_device() {
             assert!(
-                max < self.specs.len(),
-                "fault plan targets device {max}, but only {} devices exist",
-                self.specs.len()
+                max < n,
+                "fault plan targets device {max}, but only {n} devices exist"
             );
         }
         let pinned_mono = self.cfg.trace || self.cfg.capture || self.cfg.metrics_every.is_some();
@@ -446,10 +448,46 @@ impl SimBuilder {
         } else {
             self.cfg.shards.max(1)
         };
-        if workers > 1 && self.cfg.channel.spatial.is_some() && self.specs.len() > 1 {
-            self.build_sharded(workers)
+        // Components scope the statistical tier's stability gate in
+        // spatial mode: a link pair only demotes for contention within
+        // its own connected component, which is what keeps a one-core
+        // spatial run bit-identical to the sharded one.
+        let comp_of = match &self.cfg.channel.spatial {
+            Some(spatial) => Self::components(&self.positions, spatial),
+            None => Vec::new(),
+        };
+        let globals: Vec<Vec<usize>> = if workers > 1 && !comp_of.is_empty() && n > 1 {
+            let mut members = vec![Vec::new(); comp_of.iter().max().map_or(0, |&c| c + 1)];
+            for (d, &c) in comp_of.iter().enumerate() {
+                members[c].push(d);
+            }
+            members
         } else {
-            self.build_mono(None)
+            vec![(0..n).collect()]
+        };
+        let mut core_of = vec![(0, 0); n];
+        for (c, members) in globals.iter().enumerate() {
+            for (l, &d) in members.iter().enumerate() {
+                core_of[d] = (c, l);
+            }
+        }
+        let cores: Vec<Core> = globals
+            .iter()
+            .map(|members| self.build_core(members, &comp_of))
+            .collect();
+        let merged = (cores.len() > 1).then(|| MergedLogs {
+            events: Vec::new(),
+            lm_events: Vec::new(),
+            done: vec![(0, 0); cores.len()],
+        });
+        Simulator {
+            cores,
+            core_of,
+            globals,
+            merged,
+            workers,
+            faults: self.cfg.faults,
+            inspect_cursor: 0,
         }
     }
 
@@ -490,80 +528,13 @@ impl SimBuilder {
         out
     }
 
-    /// The component-per-shard build: one inner simulator per connected
-    /// component, each constructed with the *global* device ids so its
-    /// RNG streams (CLKN draw, controller seed, medium noise stream)
-    /// are exactly the ones the monolithic build would have used.
-    fn build_sharded(self, workers: usize) -> Simulator {
-        let spatial = self.cfg.channel.spatial.expect("checked by build");
-        let comp_of = Self::components(&self.positions, &spatial);
-        // A single component still goes through the delegation layer:
-        // no parallelism to win, but `--shards` must not change
-        // behaviour, and the differential tests lean on that.
-        let ncomp = comp_of.iter().copied().max().unwrap_or(0) + 1;
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
-        for (d, &c) in comp_of.iter().enumerate() {
-            members[c].push(d);
-        }
-        let mut shard_of = vec![(0, 0); self.specs.len()];
-        let mut shards = Vec::with_capacity(ncomp);
-        for (ci, globals) in members.iter().enumerate() {
-            let mut child = SimBuilder::new(self.seed, self.cfg.clone());
-            child.cfg.shards = 1;
-            child.specs = globals.iter().map(|&d| self.specs[d].clone()).collect();
-            child.positions = globals.iter().map(|&d| self.positions[d]).collect();
-            for (l, &d) in globals.iter().enumerate() {
-                shard_of[d] = (ci, l);
-            }
-            shards.push(child.build_mono(Some(globals)));
-        }
-        let root = SimRng::new(self.seed);
-        Simulator {
-            cal: Calendar::new(),
-            medium: Medium::new(self.cfg.channel.clone(), root.fork(0xC4A7)),
-            devices: Vec::new(),
-            monitor: PowerMonitor::new(0, LifePhase::Standby),
-            recorder: TraceRecorder::disabled(),
-            events: Vec::new(),
-            lm_events: Vec::new(),
-            next_window_id: 0,
-            steps_since_gc: 0,
-            inspect_cursor: 0,
-            engine: self.cfg.engine,
-            fidelity: self.cfg.fidelity,
-            error_model: ErrorModel::new(self.cfg.channel.ber, self.cfg.lc.sync_threshold),
-            modem_delay: self.cfg.channel.modem_delay,
-            peek: SimDuration::from_us(self.cfg.lc.peek_us),
-            run_cap: SimTime::ZERO,
-            wake: Vec::new(),
-            wake_seq: 0,
-            steps_total: 0,
-            fidelity_promotions: 0,
-            fidelity_demotions: 0,
-            metrics: None,
-            shards,
-            shard_of,
-            shard_globals: members,
-            merge_done: vec![(0, 0); ncomp],
-            workers,
-            comp_of,
-            // The shell keeps the full (un-remapped) plan for
-            // introspection; each shard holds — and schedules — its own
-            // restriction.
-            faults: self.cfg.faults,
-            crashed: Vec::new(),
-            muted: Vec::new(),
-            drifted: Vec::new(),
-            faults_applied: 0,
-        }
-    }
-
-    /// The single-timeline build. `globals`, when given, maps each
-    /// local device index to its global id in an enclosing sharded
-    /// simulator: every per-device RNG stream is keyed by the global
-    /// id, so a component simulated alone draws exactly what it would
-    /// have drawn on the full floor.
-    fn build_mono(self, globals: Option<&[usize]>) -> Simulator {
+    /// The core over the devices `globals` (global ids, ascending; the
+    /// core's local index `l` is device `globals[l]`). Every per-device
+    /// RNG stream is keyed by the global id, so a component simulated
+    /// alone draws exactly what it would have drawn on the full floor.
+    /// `comp_of` is the floor's component map (empty without a spatial
+    /// model).
+    fn build_core(&self, globals: &[usize], comp_of: &[usize]) -> Core {
         let root = SimRng::new(self.seed);
         let mut medium = Medium::new(self.cfg.channel.clone(), root.fork(0xC4A7));
         if self.cfg.capture {
@@ -574,37 +545,28 @@ impl SimBuilder {
         } else {
             TraceRecorder::disabled()
         };
-        let monitor = PowerMonitor::new(self.specs.len(), LifePhase::Standby);
-        let mut devices = Vec::with_capacity(self.specs.len());
+        let n = globals.len();
+        let monitor = PowerMonitor::new(n, LifePhase::Standby);
+        let mut devices = Vec::with_capacity(n);
         let mut cal = Calendar::new();
         // Schedule the fault script first: build-time insertion gives
         // every fault a lower sequence number than any re-scheduled
         // tick or wake, so a fault at instant T dispatches before any
-        // device acts at T — identically under both engines. An inner
-        // shard sees only its own devices' faults (remapped to local
-        // indices) plus every noise fault, which is exactly what keeps
-        // sharded runs bit-identical to monolithic ones.
-        let faults = match globals {
-            Some(g) => self.cfg.faults.restricted_to(g),
-            None => self.cfg.faults.clone(),
-        };
-        if let Some(max) = faults.max_device() {
-            assert!(
-                max < self.specs.len(),
-                "fault plan targets device {max}, but only {} devices exist",
-                self.specs.len()
-            );
-        }
+        // device acts at T — identically under both engines. A core
+        // sees only its own devices' faults (remapped to local indices)
+        // plus every noise fault, which is exactly what keeps sharded
+        // runs bit-identical to one-core ones.
+        let faults = self.cfg.faults.restricted_to(globals);
         for (idx, ev) in faults.events().iter().enumerate() {
             let at = SimTime::from_ns(ev.at_slot * SimDuration::SLOT.ns());
             cal.schedule(at, Ev::Fault { idx });
         }
-        for (i, (name, addr, role)) in self.specs.iter().enumerate() {
-            let g = globals.map_or(i, |g| g[i]) as u64;
+        for (l, &g) in globals.iter().enumerate() {
+            let (name, addr, role) = &self.specs[g];
             if self.cfg.channel.spatial.is_some() {
-                medium.register_radio(i, self.positions[i], g);
+                medium.register_radio(l, self.positions[g], g as u64);
             }
-            let mut clk_rng = root.fork(0x10_0000 + g);
+            let mut clk_rng = root.fork(0x10_0000 + g as u64);
             let clkn0 = if self.cfg.random_clkn {
                 ClkVal::new(clk_rng.range_u64(1 << 28) as u32)
             } else {
@@ -614,7 +576,7 @@ impl SimBuilder {
                 *addr,
                 Clock::new(clkn0),
                 self.cfg.lc.clone(),
-                root.fork(0x20_0000 + g).seed(),
+                root.fork(0x20_0000 + g as u64).seed(),
             );
             let sig_tx = recorder.declare(name, "enable_tx_RF", 1);
             let sig_rx = recorder.declare(name, "enable_rx_RF", 1);
@@ -628,19 +590,10 @@ impl SimBuilder {
                 sig_rx,
             });
             if self.cfg.engine == Engine::Lockstep {
-                cal.schedule(SimTime::ZERO, Ev::Tick(i));
+                cal.schedule(SimTime::ZERO, Ev::Tick(l));
             }
         }
-        // Components scope the statistical tier's stability gate in
-        // spatial mode: a link pair only demotes for contention within
-        // its own connected component, which is what keeps a monolithic
-        // spatial run bit-identical to the sharded one.
-        let comp_of = match &self.cfg.channel.spatial {
-            Some(spatial) => Self::components(&self.positions, spatial),
-            None => Vec::new(),
-        };
-        let n = devices.len();
-        Simulator {
+        Core {
             cal,
             medium,
             devices,
@@ -650,7 +603,6 @@ impl SimBuilder {
             lm_events: Vec::new(),
             next_window_id: 0,
             steps_since_gc: 0,
-            inspect_cursor: 0,
             engine: self.cfg.engine,
             // Waveform tracing needs the bit-level RF signal edges and
             // packet capture needs the bit images, so either pins the
@@ -672,12 +624,11 @@ impl SimBuilder {
             fidelity_promotions: 0,
             fidelity_demotions: 0,
             metrics: self.cfg.metrics_every.map(MetricsStream::new),
-            shards: Vec::new(),
-            shard_of: Vec::new(),
-            shard_globals: Vec::new(),
-            merge_done: Vec::new(),
-            workers: 1,
-            comp_of,
+            // Empty without a spatial model, like `comp_of` itself.
+            comp_of: globals
+                .iter()
+                .filter_map(|&g| comp_of.get(g).copied())
+                .collect(),
             faults,
             crashed: vec![false; n],
             muted: vec![false; n],
@@ -688,6 +639,12 @@ impl SimBuilder {
 }
 
 /// The complete system simulation.
+///
+/// A simulator is a set of [`Core`]s — one per connected component of
+/// the in-range graph on a sharded spatial run, exactly one otherwise —
+/// behind a global device numbering. Per-device calls go through the
+/// device map, aggregates fold over the cores, and only the event logs
+/// and `run_until`'s thread fan-out tell one core from many.
 ///
 /// # Examples
 ///
@@ -707,6 +664,41 @@ impl SimBuilder {
 /// ```
 #[derive(Clone)]
 pub struct Simulator {
+    /// The engines, ordered by lowest global device id. Never empty.
+    cores: Vec<Core>,
+    /// Global device id → (core index, local index); the identity onto
+    /// core 0 for one core.
+    core_of: Vec<(usize, usize)>,
+    /// Core index → local index → global device id.
+    globals: Vec<Vec<usize>>,
+    /// The cores' logs merged under global device ids; present only
+    /// when there is more than one core.
+    merged: Option<MergedLogs>,
+    /// Worker-thread cap for `run_until` over several cores
+    /// ([`SimConfig::shards`]). Never affects results, only wall-clock.
+    workers: usize,
+    /// The full fault plan; each core holds (and schedules) only its
+    /// restriction to the core's devices plus all noise faults.
+    faults: FaultPlan,
+    /// Resume point of [`Simulator::run_until_event`]'s shared scan.
+    inspect_cursor: usize,
+}
+
+/// The LC and LM logs of several cores, merged under global device ids.
+#[derive(Clone)]
+struct MergedLogs {
+    events: Vec<LoggedEvent>,
+    lm_events: Vec<LoggedLmEvent>,
+    /// Per core, how many (lc, lm) entries have been merged so far.
+    done: Vec<(usize, usize)>,
+}
+
+/// One discrete-event engine: calendar, medium, devices, stat tier and
+/// faults over a set of devices that interact only with each other.
+/// Device indices inside a core are local; the [`Simulator`] maps them
+/// to global ids.
+#[derive(Clone)]
+struct Core {
     cal: Calendar<Ev>,
     medium: Medium,
     devices: Vec<DeviceCell>,
@@ -716,7 +708,6 @@ pub struct Simulator {
     lm_events: Vec<LoggedLmEvent>,
     next_window_id: u64,
     steps_since_gc: u32,
-    inspect_cursor: usize,
     engine: Engine,
     /// Effective PHY fidelity tier ([`Fidelity::Bit`] whenever tracing
     /// is on, regardless of the configured tier).
@@ -742,31 +733,13 @@ pub struct Simulator {
     /// Statistical-tier demotions observed so far (metrics hub).
     fidelity_demotions: u64,
     /// Streaming metrics emission, when [`SimConfig::metrics_every`] is
-    /// set.
+    /// set (which pins the run to one core).
     metrics: Option<MetricsStream>,
-    /// Sharded mode: one inner simulator per connected component of
-    /// the in-range graph, ordered by lowest global device id. Empty in
-    /// a monolithic simulator — and in the inner simulators themselves,
-    /// which are always monolithic (nesting is one level deep).
-    shards: Vec<Simulator>,
-    /// Sharded mode: global device id → (shard index, local index).
-    shard_of: Vec<(usize, usize)>,
-    /// Sharded mode: shard index → local index → global device id.
-    shard_globals: Vec<Vec<usize>>,
-    /// Sharded mode: per shard, how many (lc, lm) events have been
-    /// merged into the shell's logs so far.
-    merge_done: Vec<(usize, usize)>,
-    /// Sharded mode: worker-thread cap for `run_until`
-    /// ([`SimConfig::shards`]). Never affects results, only wall-clock.
-    workers: usize,
-    /// Spatial mode (monolithic or inner): dense component id per
-    /// device; empty without a spatial model (everything is one
-    /// implicit component).
+    /// Spatial mode: dense component id per device; empty without a
+    /// spatial model (everything is one implicit component).
     comp_of: Vec<usize>,
-    /// The fault script driving [`Ev::Fault`] dispatches. In an inner
-    /// shard this is already restricted to the shard's devices (local
-    /// indices); the sharded shell keeps the full plan for
-    /// introspection but schedules nothing itself.
+    /// The fault script driving [`Ev::Fault`] dispatches, restricted to
+    /// this core's devices (local indices).
     faults: FaultPlan,
     /// Per-device crashed flag: commands, transmissions and receptions
     /// of a crashed device are discarded until its revive fault.
@@ -807,69 +780,77 @@ impl std::fmt::Display for HorizonReached {
 impl std::error::Error for HorizonReached {}
 
 impl Simulator {
-    /// Whether this simulator delegates to per-component shards.
-    fn sharded(&self) -> bool {
-        !self.shards.is_empty()
+    /// The core holding global device `dev`, and its local index there.
+    fn locate(&self, dev: usize) -> (&Core, usize) {
+        let (c, l) = self.core_of[dev];
+        (&self.cores[c], l)
+    }
+
+    /// Mutable [`Simulator::locate`].
+    fn locate_mut(&mut self, dev: usize) -> (&mut Core, usize) {
+        let (c, l) = self.core_of[dev];
+        (&mut self.cores[c], l)
     }
 
     /// Number of devices.
     pub fn device_count(&self) -> usize {
-        if self.sharded() {
-            self.shard_of.len()
-        } else {
-            self.devices.len()
-        }
+        self.core_of.len()
     }
 
-    /// Current simulation time.
+    /// Current simulation time. Every public call leaves all cores'
+    /// clocks at the same instant.
     pub fn now(&self) -> SimTime {
-        self.cal.now()
+        self.cores[0].cal.now()
     }
 
     /// Immutable access to a device's link controller (for assertions).
     pub fn lc(&self, dev: usize) -> &LinkController {
-        if self.sharded() {
-            let (s, l) = self.shard_of[dev];
-            &self.shards[s].devices[l].lc
-        } else {
-            &self.devices[dev].lc
-        }
+        let (core, l) = self.locate(dev);
+        &core.devices[l].lc
     }
 
-    /// The waveform recorder.
+    /// The waveform recorder (tracing pins the run to one core).
     pub fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
+        &self.cores[0].recorder
     }
 
     /// All logged link-controller events so far.
     pub fn events(&self) -> &[LoggedEvent] {
-        &self.events
+        match &self.merged {
+            Some(m) => &m.events,
+            None => &self.cores[0].events,
+        }
     }
 
     /// A cursor at the current end of the event log (events logged
     /// after this call are "since" it).
     pub fn cursor(&self) -> EventCursor {
-        EventCursor(self.events.len())
+        EventCursor(self.events().len())
     }
 
     /// The events logged at or after `cursor`, advancing the cursor to
     /// the end of the log.
     pub fn events_since(&self, cursor: &mut EventCursor) -> &[LoggedEvent] {
-        let from = cursor.0.min(self.events.len());
-        cursor.0 = self.events.len();
-        &self.events[from..]
+        let events = self.events();
+        let from = cursor.0.min(events.len());
+        cursor.0 = events.len();
+        &events[from..]
     }
 
     /// All logged link-manager events so far.
     pub fn lm_events(&self) -> &[LoggedLmEvent] {
-        &self.lm_events
+        match &self.merged {
+            Some(m) => &m.lm_events,
+            None => &self.cores[0].lm_events,
+        }
     }
 
     /// The packet-capture sink (air packets and LMP PDUs, in dispatch
     /// order). Disabled — and empty — unless [`SimConfig::capture`] was
-    /// set; serialize with `btsim_trace::btsnoop::serialize_sink`.
+    /// set (which pins the run to one core); serialize with
+    /// `btsim_trace::btsnoop::serialize_sink`.
     pub fn capture(&self) -> &CaptureSink {
-        self.medium.capture()
+        self.cores[0].medium.capture()
     }
 
     /// A cursor at the current end of the merged event stream (events
@@ -877,8 +858,8 @@ impl Simulator {
     /// [`ObsCursor::default`] starts at the beginning instead.
     pub fn observe(&self) -> ObsCursor {
         ObsCursor {
-            lc: self.events.len(),
-            lm: self.lm_events.len(),
+            lc: self.events().len(),
+            lm: self.lm_events().len(),
         }
     }
 
@@ -887,7 +868,7 @@ impl Simulator {
     /// at a shared instant), advancing the cursor to their ends. Render
     /// with [`crate::observe::to_json_lines`].
     pub fn events_merged_since(&self, cursor: &mut ObsCursor) -> Vec<SimEvent> {
-        merge_since(&self.events, &self.lm_events, cursor)
+        merge_since(self.events(), self.lm_events(), cursor)
     }
 
     /// A metrics-hub snapshot of every subsystem at the current instant:
@@ -896,115 +877,47 @@ impl Simulator {
     /// subsystems already maintain — the hub costs nothing between
     /// calls. Diff two snapshots with [`MetricsSnapshot::since`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut s = MetricsSnapshot::new(self.cal.now());
-        let tx = self.tx_stats();
-        s.push_counter("medium.transmissions", tx.transmissions);
-        s.push_counter("medium.collided", tx.collided);
-        s.push_counter("medium.jammed", tx.jammed);
-        let (fp, fd) = self.shards.iter().fold(
-            (self.fidelity_promotions, self.fidelity_demotions),
-            |(p, d), sh| (p + sh.fidelity_promotions, d + sh.fidelity_demotions),
-        );
-        s.push_counter("fidelity.promotions", fp);
-        s.push_counter("fidelity.demotions", fd);
-        s.push_counter("engine.steps", self.steps_total());
-        let fa = self
-            .shards
-            .iter()
-            .fold(self.faults_applied, |a, sh| a + sh.faults_applied);
-        s.push_counter("faults.applied", fa);
-        s.push_counter("events.lc", self.events.len() as u64);
-        s.push_counter("events.lm", self.lm_events.len() as u64);
-        s.push_counter("capture.records", self.medium.capture().len() as u64);
-        for d in 0..self.device_count() {
-            let rep = self.power_report(d);
-            let lc = self.lc(d);
-            s.push_counter(format!("dev{d}.power.tx_us"), rep.tx.us());
-            s.push_counter(format!("dev{d}.power.rx_us"), rep.rx.us());
-            s.push_counter(
-                format!("dev{d}.buffer.dropped_bytes"),
-                lc.dropped_tx_bytes(),
-            );
-            s.push_gauge(
-                format!("dev{d}.buffer.queued_bytes"),
-                lc.queued_tx_bytes() as f64,
-            );
-            s.push_gauge(
-                format!("dev{d}.fidelity.promoted"),
-                if lc.stat_promoted() { 1.0 } else { 0.0 },
-            );
-        }
-        s.push_gauge("medium.ber", self.measured_ber());
-        s.push_gauge(
-            "medium.bad_rate",
-            self.medium.channel_quality().total().bad_rate(),
-        );
-        s
+        let logs = (self.events().len(), self.lm_events().len());
+        metrics_of(&self.cores, &self.core_of, logs)
     }
 
     /// The JSON lines streamed so far (one snapshot per
     /// [`SimConfig::metrics_every`] period); empty when streaming is
     /// off. See `docs/OBSERVABILITY.md` for the line schema.
     pub fn metrics_lines(&self) -> &str {
-        self.metrics.as_ref().map_or("", |m| m.lines())
+        self.cores[0].metrics.as_ref().map_or("", |m| m.lines())
     }
 
-    /// Observed channel bit-error fraction (diagnostics). Sharded runs
-    /// combine the per-shard raw counters, so the fraction is exactly
-    /// the monolithic one.
+    /// Observed channel bit-error fraction (diagnostics), from the raw
+    /// counters of every core's medium.
     pub fn measured_ber(&self) -> f64 {
-        if self.sharded() {
-            let (mut flipped, mut bits) = (0u64, 0u64);
-            for sh in &self.shards {
-                let (f, b) = sh.medium.bit_error_totals();
-                flipped += f;
-                bits += b;
-            }
-            if bits == 0 {
-                0.0
-            } else {
-                flipped as f64 / bits as f64
-            }
-        } else {
-            self.medium.measured_ber()
-        }
+        measured_ber_of(&self.cores)
     }
 
-    /// Cumulative medium transmission/collision statistics. Scatternet
-    /// experiments take a snapshot after topology formation and measure
-    /// the delta over the traffic window ([`TxStats::since`]). Sharded
-    /// runs report the field-wise sum over all shards.
+    /// Cumulative medium transmission/collision statistics, summed over
+    /// the cores. Scatternet experiments take a snapshot after topology
+    /// formation and measure the delta over the traffic window
+    /// ([`TxStats::since`]).
     pub fn tx_stats(&self) -> TxStats {
-        if self.sharded() {
-            let mut acc = TxStats::default();
-            for sh in &self.shards {
-                let t = sh.medium.tx_stats();
-                acc.transmissions += t.transmissions;
-                acc.collided += t.collided;
-                acc.jammed += t.jammed;
-            }
-            acc
-        } else {
-            self.medium.tx_stats()
-        }
+        tx_stats_of(&self.cores)
     }
 
-    /// The medium's per-RF-channel quality counters (snapshot and diff
-    /// with [`ChannelQuality::since`]); the AFH experiments use it to
-    /// verify an adapted hop sequence stops landing in an interferer's
-    /// band.
-    pub fn channel_quality(&self) -> &ChannelQuality {
-        self.medium.channel_quality()
+    /// The medium's per-RF-channel quality counters, summed over the
+    /// cores (snapshot and diff with [`ChannelQuality::since`]); the AFH
+    /// experiments use it to verify an adapted hop sequence stops
+    /// landing in an interferer's band.
+    pub fn channel_quality(&self) -> ChannelQuality {
+        channel_quality_of(&self.cores)
     }
 
     /// The engine driving this simulator.
     pub fn engine(&self) -> Engine {
-        self.engine
+        self.cores[0].engine
     }
 
-    /// The fault plan this simulator was built with. A sharded shell
-    /// reports the full plan; each shard holds (and schedules) only the
-    /// restriction to its own devices plus all noise faults.
+    /// The fault plan this simulator was built with. Each core holds
+    /// (and schedules) only the restriction to its own devices plus all
+    /// noise faults.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
     }
@@ -1012,84 +925,62 @@ impl Simulator {
     /// Whether `dev` is currently crashed (powered off by a
     /// [`FaultKind::Crash`] and not yet revived).
     pub fn device_crashed(&self, dev: usize) -> bool {
-        if self.sharded() {
-            let (s, l) = self.shard_of[dev];
-            return self.shards[s].crashed[l];
-        }
-        self.crashed[dev]
+        let (core, l) = self.locate(dev);
+        core.crashed[l]
     }
 
-    /// Fault events applied so far, across all shards.
+    /// Fault events applied so far, across all cores.
     pub fn faults_applied(&self) -> u64 {
-        self.faults_applied + self.shards.iter().map(|s| s.faults_applied).sum::<u64>()
+        self.cores.iter().map(|c| c.faults_applied).sum()
     }
 
-    /// Calendar events dispatched so far — the engine's unit of work.
-    /// The event-driven engine's speedup is, to first order, the ratio
-    /// of this count between engines for the same workload. Sharded
-    /// runs sum over the shards.
+    /// Calendar events dispatched so far — the engine's unit of work —
+    /// summed over the cores. The event-driven engine's speedup is, to
+    /// first order, the ratio of this count between engines for the
+    /// same workload.
     pub fn steps_total(&self) -> u64 {
-        self.steps_total + self.shards.iter().map(Simulator::steps_total).sum::<u64>()
+        self.cores.iter().map(|c| c.steps_total).sum()
     }
 
     /// Digest of every random stream's position (device controllers and
     /// the medium). Two runs that made bit-identical random draws — the
     /// engine-equivalence requirement — have equal fingerprints.
     ///
-    /// A sharded run reconstructs the exact monolithic fold: the
-    /// medium's base stream is never drawn from in spatial mode (every
-    /// sibling shard medium reports the same base fingerprint), and the
-    /// per-radio noise streams and controller streams are folded in
-    /// global device order across the shards.
+    /// The fold is the medium's base stream, then each radio's noise
+    /// stream, then each controller's stream, in global device order.
+    /// A spatial medium never draws from its base stream, so every core
+    /// reports the same base fingerprint, and the fold over several
+    /// cores equals the one-core fold.
     pub fn rng_fingerprint(&self) -> u64 {
-        if self.sharded() {
-            let mut acc = self.shards[0].medium.base_rng_fingerprint();
-            for d in 0..self.shard_of.len() {
-                let (s, l) = self.shard_of[d];
-                acc = acc.rotate_left(9) ^ self.shards[s].medium.noise_fingerprint_of(l);
+        let mut acc = self.cores[0].medium.base_rng_fingerprint();
+        for &(c, l) in &self.core_of {
+            if let Some(noise) = self.cores[c].medium.noise_fingerprint_of(l) {
+                acc = acc.rotate_left(9) ^ noise;
             }
-            for d in 0..self.shard_of.len() {
-                let (s, l) = self.shard_of[d];
-                acc = acc.rotate_left(7) ^ self.shards[s].devices[l].lc.rng_fingerprint();
-            }
-            return acc;
         }
-        let mut acc = self.medium.rng_fingerprint();
-        for cell in &self.devices {
-            acc = acc.rotate_left(7) ^ cell.lc.rng_fingerprint();
+        for &(c, l) in &self.core_of {
+            acc = acc.rotate_left(7) ^ self.cores[c].devices[l].lc.rng_fingerprint();
         }
         acc
     }
 
     /// Issues a command to a device at the current time.
     pub fn command(&mut self, dev: usize, cmd: LcCommand) {
-        if self.sharded() {
-            // The shell keeps every shard's clock synced to its own, so
-            // "the current time" is the same instant down in the shard.
-            let (s, l) = self.shard_of[dev];
-            self.shards[s].command(l, cmd);
-            return;
-        }
-        let now = self.cal.now();
-        self.cal.schedule(
-            now,
-            Ev::Command {
-                dev,
-                cmd,
-                inserted: now,
-            },
-        );
+        self.command_at(dev, cmd, self.now());
     }
 
     /// Schedules a command at an absolute time.
     pub fn command_at(&mut self, dev: usize, cmd: LcCommand, at: SimTime) {
-        if self.sharded() {
-            let (s, l) = self.shard_of[dev];
-            self.shards[s].command_at(l, cmd, at);
-            return;
-        }
-        let inserted = self.cal.now();
-        self.cal.schedule(at, Ev::Command { dev, cmd, inserted });
+        let (core, l) = self.locate_mut(dev);
+        let inserted = core.cal.now();
+        core.cal.schedule(
+            at,
+            Ev::Command {
+                dev: l,
+                cmd,
+                inserted,
+            },
+        );
     }
 
     /// Runs a link-manager request on a device, applying its outputs.
@@ -1097,22 +988,9 @@ impl Simulator {
     where
         F: FnOnce(&mut LinkManager, u64) -> Vec<LmOutput>,
     {
-        if self.sharded() {
-            let (s, l) = self.shard_of[dev];
-            self.shards[s].lm_request(l, f);
-            self.merge_shard_logs();
-            return;
-        }
-        if self.crashed[dev] {
-            return; // powered off: the host stack is down too
-        }
-        let now = self.cal.now();
-        let now_slot = now.slots();
-        let outs = f(&mut self.devices[dev].lm, now_slot);
-        self.apply_lm_outputs(dev, outs, now);
-        // Called between steps: the lockstep tick at `now` has already
-        // run, so the wakeup floor is the next tick.
-        self.rearm_wakeup(dev, now + SimDuration::from_ns(1));
+        let (core, l) = self.locate_mut(dev);
+        core.lm_request(l, f);
+        self.merge_logs();
     }
 
     /// Runs until the calendar passes `until` (or drains), then clamps
@@ -1120,46 +998,32 @@ impl Simulator {
     /// simulation time short (the event-driven engine leaves such gaps;
     /// lockstep reaches the same instant by ticking through them).
     ///
-    /// A sharded simulator advances each component shard to `until` on
-    /// up to [`SimConfig::shards`] scoped worker threads — components
-    /// never interact, so this is the embarrassingly parallel phase —
-    /// then merges the shard event logs. The worker count never changes
-    /// results, only wall-clock time.
+    /// Several cores advance to `until` on up to [`SimConfig::shards`]
+    /// scoped worker threads — cores never interact, so this is the
+    /// embarrassingly parallel phase — then their logs are merged. The
+    /// worker count never changes results, only wall-clock time.
     pub fn run_until(&mut self, until: SimTime) {
-        if self.sharded() {
-            let workers = self.workers.min(self.shards.len()).max(1);
-            if workers == 1 {
-                for sh in &mut self.shards {
-                    sh.run_until(until);
-                }
-            } else {
-                let mut groups: Vec<Vec<&mut Simulator>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, sh) in self.shards.iter_mut().enumerate() {
-                    groups[i % workers].push(sh);
-                }
-                std::thread::scope(|scope| {
-                    for group in groups {
-                        scope.spawn(move || {
-                            for sh in group {
-                                sh.run_until(until);
-                            }
-                        });
-                    }
-                });
+        let workers = self.workers.min(self.cores.len());
+        if workers <= 1 {
+            for core in &mut self.cores {
+                core.run_until(until);
             }
-            self.merge_shard_logs();
-            self.cal.advance_to(until);
-            return;
-        }
-        self.run_cap = until;
-        while let Some(t) = self.cal.peek_time() {
-            if t > until {
-                break;
+        } else {
+            let mut groups: Vec<Vec<&mut Core>> = (0..workers).map(|_| Vec::new()).collect();
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                groups[i % workers].push(core);
             }
-            self.step();
+            std::thread::scope(|scope| {
+                for group in groups {
+                    scope.spawn(move || {
+                        for core in group {
+                            core.run_until(until);
+                        }
+                    });
+                }
+            });
         }
-        self.cal.advance_to(until);
+        self.merge_logs();
     }
 
     /// Runs until an event matching `pred` is logged, or `cap` passes.
@@ -1207,6 +1071,13 @@ impl Simulator {
     /// without it the clock would stall short of the horizon while
     /// callers that retry on "no event yet" spin forever at the same
     /// instant.
+    ///
+    /// The search steps whichever core holds the earliest pending
+    /// calendar event (ties to the lowest core index), merging new
+    /// events into the log after every step, until one matches. Because
+    /// stepping is globally time-ordered, every cross-core observable —
+    /// log contents, the matched event, the stop instant — is
+    /// independent of the core layout and worker count.
     pub fn try_run_until_event_from<F>(
         &mut self,
         cursor: &mut EventCursor,
@@ -1216,80 +1087,43 @@ impl Simulator {
     where
         F: Fn(&LoggedEvent) -> bool,
     {
-        if self.sharded() {
-            return self.sharded_run_until_event_from(cursor, cap, pred);
-        }
-        self.run_cap = cap;
+        let mut frontier = self.now();
         loop {
-            while cursor.0 < self.events.len() {
+            let events = self.events();
+            while cursor.0 < events.len() {
                 let i = cursor.0;
                 cursor.0 += 1;
-                if pred(&self.events[i]) {
-                    return Ok(self.events[i].clone());
-                }
-            }
-            match self.cal.peek_time() {
-                Some(t) if t <= cap => self.step(),
-                _ => {
-                    self.cal.advance_to(cap);
-                    return Err(HorizonReached { horizon: cap });
-                }
-            }
-        }
-    }
-
-    /// The sharded event search: steps whichever shard holds the
-    /// globally earliest pending calendar event (ties to the lowest
-    /// shard index), merging new events into the shell log after every
-    /// step, until one matches. Because stepping is globally
-    /// time-ordered, every cross-shard observable — log contents, the
-    /// matched event, the stop instant — is independent of the shard
-    /// layout and worker count.
-    fn sharded_run_until_event_from<F>(
-        &mut self,
-        cursor: &mut EventCursor,
-        cap: SimTime,
-        pred: F,
-    ) -> Result<LoggedEvent, HorizonReached>
-    where
-        F: Fn(&LoggedEvent) -> bool,
-    {
-        let mut frontier = self.cal.now();
-        loop {
-            while cursor.0 < self.events.len() {
-                let i = cursor.0;
-                cursor.0 += 1;
-                if pred(&self.events[i]) {
-                    let found = self.events[i].clone();
-                    // Sync every shard's clock to the stepping frontier
+                if pred(&events[i]) {
+                    let found = events[i].clone();
+                    // Sync every core's clock to the stepping frontier
                     // without dispatching anything further: pending
-                    // same-instant events stay pending, exactly as the
-                    // monolithic search leaves them.
-                    for sh in &mut self.shards {
-                        sh.cal.advance_to(frontier);
+                    // same-instant events stay pending. The core that
+                    // stepped last is already there.
+                    for core in &mut self.cores {
+                        core.cal.advance_to(frontier);
                     }
-                    self.cal.advance_to(frontier);
                     return Ok(found);
                 }
             }
             let next = self
-                .shards
+                .cores
                 .iter()
                 .enumerate()
-                .filter_map(|(i, sh)| sh.cal.peek_time().map(|t| (t, i)))
+                .filter_map(|(i, core)| core.cal.peek_time().map(|t| (t, i)))
                 .min();
             match next {
                 Some((t, i)) if t <= cap => {
                     frontier = t;
-                    self.shards[i].step_with_cap(cap);
-                    self.merge_shard_logs();
+                    let core = &mut self.cores[i];
+                    core.run_cap = cap;
+                    core.step();
+                    self.merge_logs();
                 }
                 _ => {
-                    for sh in &mut self.shards {
-                        sh.run_until(cap);
+                    for core in &mut self.cores {
+                        core.run_until(cap);
                     }
-                    self.merge_shard_logs();
-                    self.cal.advance_to(cap);
+                    self.merge_logs();
                     return Err(HorizonReached { horizon: cap });
                 }
             }
@@ -1299,45 +1133,27 @@ impl Simulator {
     /// Power/activity report of `dev` over `[0, now]`, with any open RF
     /// window committed up to now.
     pub fn power_report(&self, dev: usize) -> DeviceReport<LifePhase> {
-        if self.sharded() {
-            let (s, l) = self.shard_of[dev];
-            return self.shards[s].power_report(l);
-        }
-        let mut monitor = self.monitor.clone();
-        let now = self.cal.now();
-        if let Some(w) = &self.devices[dev].active {
-            let end = now.max(w.opened_at);
-            monitor.add_rx(dev, w.opened_at, end);
-        }
-        monitor.report(dev, now)
+        let (core, l) = self.locate(dev);
+        core.power_report(l)
     }
 
-    // ----- sharding --------------------------------------------------------
-
-    /// One calendar step with the stat-tier batch horizon pinned to
-    /// `cap` — how the sharded event search drives an inner simulator
-    /// so its batches match what the monolithic search would produce
-    /// under the same cap.
-    fn step_with_cap(&mut self, cap: SimTime) {
-        self.run_cap = cap;
-        self.step();
-    }
-
-    /// Pulls every not-yet-merged event out of the shard logs, remaps
-    /// local device ids to global ones, and merges them into the shell
-    /// logs. The shell logs are kept sorted by `(at, device)` — a
-    /// canonical order independent of shard layout and worker count
-    /// (each device's own stream stays in chronological log order;
-    /// cross-device ordering at a shared instant is normalised to
-    /// device order, whereas a monolithic log interleaves by dispatch
-    /// order there).
-    fn merge_shard_logs(&mut self) {
-        for s in 0..self.shards.len() {
-            let (lc_done, lm_done) = self.merge_done[s];
-            let globals = &self.shard_globals[s];
-            let child = &self.shards[s];
-            if child.events.len() > lc_done {
-                let incoming: Vec<LoggedEvent> = child.events[lc_done..]
+    /// Pulls every not-yet-merged event out of the core logs, remaps
+    /// local device ids to global ones, and merges them into the merged
+    /// logs (a no-op for one core). The merged logs are kept sorted by
+    /// `(at, device)` — a canonical order independent of core layout
+    /// and worker count (each device's own stream stays in chronological
+    /// log order; cross-device ordering at a shared instant is
+    /// normalised to device order, whereas a one-core log interleaves
+    /// by dispatch order there).
+    fn merge_logs(&mut self) {
+        let Some(merged) = &mut self.merged else {
+            return;
+        };
+        for (c, core) in self.cores.iter().enumerate() {
+            let (lc_done, lm_done) = merged.done[c];
+            let globals = &self.globals[c];
+            if core.events.len() > lc_done {
+                let incoming: Vec<LoggedEvent> = core.events[lc_done..]
                     .iter()
                     .map(|e| LoggedEvent {
                         at: e.at,
@@ -1345,10 +1161,10 @@ impl Simulator {
                         event: e.event.clone(),
                     })
                     .collect();
-                merge_sorted(&mut self.events, incoming, |e| (e.at, e.device));
+                merge_sorted(&mut merged.events, incoming, |e| (e.at, e.device));
             }
-            if child.lm_events.len() > lm_done {
-                let incoming: Vec<LoggedLmEvent> = child.lm_events[lm_done..]
+            if core.lm_events.len() > lm_done {
+                let incoming: Vec<LoggedLmEvent> = core.lm_events[lm_done..]
                     .iter()
                     .map(|e| LoggedLmEvent {
                         at: e.at,
@@ -1356,10 +1172,129 @@ impl Simulator {
                         event: e.event.clone(),
                     })
                     .collect();
-                merge_sorted(&mut self.lm_events, incoming, |e| (e.at, e.device));
+                merge_sorted(&mut merged.lm_events, incoming, |e| (e.at, e.device));
             }
-            self.merge_done[s] = (child.events.len(), child.lm_events.len());
+            merged.done[c] = (core.events.len(), core.lm_events.len());
         }
+    }
+}
+
+/// The metrics hub over `cores`, devices in global order through
+/// `core_of`, with `logs` the (LC, LM) log lengths. One body serves
+/// [`Simulator::metrics_snapshot`] and a core's streaming emission,
+/// which passes itself as the only core.
+fn metrics_of(cores: &[Core], core_of: &[(usize, usize)], logs: (usize, usize)) -> MetricsSnapshot {
+    let sum = |count: fn(&Core) -> u64| cores.iter().map(count).sum::<u64>();
+    let mut s = MetricsSnapshot::new(cores[0].cal.now());
+    let tx = tx_stats_of(cores);
+    s.push_counter("medium.transmissions", tx.transmissions);
+    s.push_counter("medium.collided", tx.collided);
+    s.push_counter("medium.jammed", tx.jammed);
+    s.push_counter("fidelity.promotions", sum(|c| c.fidelity_promotions));
+    s.push_counter("fidelity.demotions", sum(|c| c.fidelity_demotions));
+    s.push_counter("engine.steps", sum(|c| c.steps_total));
+    s.push_counter("faults.applied", sum(|c| c.faults_applied));
+    s.push_counter("events.lc", logs.0 as u64);
+    s.push_counter("events.lm", logs.1 as u64);
+    s.push_counter("capture.records", sum(|c| c.medium.capture().len() as u64));
+    for (d, &(c, l)) in core_of.iter().enumerate() {
+        let rep = cores[c].power_report(l);
+        let lc = &cores[c].devices[l].lc;
+        s.push_counter(format!("dev{d}.power.tx_us"), rep.tx.us());
+        s.push_counter(format!("dev{d}.power.rx_us"), rep.rx.us());
+        s.push_counter(
+            format!("dev{d}.buffer.dropped_bytes"),
+            lc.dropped_tx_bytes(),
+        );
+        s.push_gauge(
+            format!("dev{d}.buffer.queued_bytes"),
+            lc.queued_tx_bytes() as f64,
+        );
+        s.push_gauge(
+            format!("dev{d}.fidelity.promoted"),
+            if lc.stat_promoted() { 1.0 } else { 0.0 },
+        );
+    }
+    s.push_gauge("medium.ber", measured_ber_of(cores));
+    s.push_gauge(
+        "medium.bad_rate",
+        channel_quality_of(cores).total().bad_rate(),
+    );
+    s
+}
+
+/// Field-wise sum of the cores' medium statistics.
+fn tx_stats_of(cores: &[Core]) -> TxStats {
+    let mut acc = TxStats::default();
+    for core in cores {
+        acc += core.medium.tx_stats();
+    }
+    acc
+}
+
+/// Per-channel sum of the cores' medium quality counters.
+fn channel_quality_of(cores: &[Core]) -> ChannelQuality {
+    let mut acc = ChannelQuality::default();
+    for core in cores {
+        acc += core.medium.channel_quality();
+    }
+    acc
+}
+
+/// Bit-error fraction over the raw counters of every core's medium.
+fn measured_ber_of(cores: &[Core]) -> f64 {
+    let (mut flipped, mut bits) = (0u64, 0u64);
+    for core in cores {
+        let (f, b) = core.medium.bit_error_totals();
+        flipped += f;
+        bits += b;
+    }
+    if bits == 0 {
+        0.0
+    } else {
+        flipped as f64 / bits as f64
+    }
+}
+
+impl Core {
+    /// Runs a link-manager request on local device `dev`.
+    fn lm_request<F>(&mut self, dev: usize, f: F)
+    where
+        F: FnOnce(&mut LinkManager, u64) -> Vec<LmOutput>,
+    {
+        if self.crashed[dev] {
+            return; // powered off: the host stack is down too
+        }
+        let now = self.cal.now();
+        let now_slot = now.slots();
+        let outs = f(&mut self.devices[dev].lm, now_slot);
+        self.apply_lm_outputs(dev, outs, now);
+        // Called between steps: the lockstep tick at `now` has already
+        // run, so the wakeup floor is the next tick.
+        self.rearm_wakeup(dev, now + SimDuration::from_ns(1));
+    }
+
+    /// Steps every event up to `until`, then clamps the clock to it.
+    fn run_until(&mut self, until: SimTime) {
+        self.run_cap = until;
+        while let Some(t) = self.cal.peek_time() {
+            if t > until {
+                break;
+            }
+            self.step();
+        }
+        self.cal.advance_to(until);
+    }
+
+    /// Power/activity report of local device `dev` over `[0, now]`.
+    fn power_report(&self, dev: usize) -> DeviceReport<LifePhase> {
+        let mut monitor = self.monitor.clone();
+        let now = self.cal.now();
+        if let Some(w) = &self.devices[dev].active {
+            let end = now.max(w.opened_at);
+            monitor.add_rx(dev, w.opened_at, end);
+        }
+        monitor.report(dev, now)
     }
 
     // ----- engine ----------------------------------------------------------
@@ -1377,7 +1312,11 @@ impl Simulator {
         // Streaming metrics: one comparison per dispatched event when
         // enabled, one `Option` discriminant test when not.
         if self.metrics.as_ref().is_some_and(|m| t >= m.next_at) {
-            let snap = self.metrics_snapshot();
+            // Streaming pins the run to one core: this core is the
+            // whole simulator, its devices in global order.
+            let identity: Vec<(usize, usize)> = (0..self.devices.len()).map(|l| (0, l)).collect();
+            let logs = (self.events.len(), self.lm_events.len());
+            let snap = metrics_of(std::slice::from_ref(self), &identity, logs);
             if let Some(m) = self.metrics.as_mut() {
                 m.emit(snap);
             }
@@ -1651,7 +1590,8 @@ impl Simulator {
             }
         };
         if !self.same_comp(m_dev, s_dev) {
-            // Out-of-range "pair": a shard would not even see the peer.
+            // Out-of-range "pair": a sharded core would not even see
+            // the peer.
             return;
         }
         let m_addr = self.devices[m_dev].lc.addr();
@@ -1705,9 +1645,9 @@ impl Simulator {
         // their RNG streams — stay bit-identical. In spatial mode the
         // scan is scoped to the pair's connected component: devices and
         // traffic beyond radio reach can neither disturb the pair nor
-        // shorten its batches, which keeps a monolithic floor-wide run
+        // shorten its batches, which keeps a one-core floor-wide run
         // bit-identical to the sharded one where the component is alone
-        // in its own calendar.
+        // in its own core.
         let mut horizon = self.run_cap;
         for (at, ev) in self.cal.iter() {
             let relevant = match ev {
@@ -1991,7 +1931,7 @@ impl Simulator {
         self.wake[dev] = wake;
     }
 
-    /// [`Simulator::recompute_wakeup`] + [`Simulator::arm_wake`].
+    /// [`Core::recompute_wakeup`] + [`Core::arm_wake`].
     fn rearm_wakeup(&mut self, dev: usize, floor: SimTime) {
         if self.engine != Engine::EventDriven {
             return;

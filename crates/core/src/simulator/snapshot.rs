@@ -1,9 +1,10 @@
 //! Checkpoint/restore of the full simulator state (`docs/SNAPSHOT.md`).
 //!
-//! [`SimSnapshot`] captures every stateful layer — calendar, medium,
-//! per-device controllers and managers, power ledgers, trace/capture
-//! sinks, event logs, fidelity counters, metrics stream and the shard
-//! tree — deeply enough that `restore(snapshot(sim))` followed by
+//! [`SimSnapshot`] captures every stateful layer — each core's calendar,
+//! medium, per-device controllers and managers, power ledgers,
+//! trace/capture sinks, event logs, fidelity counters and metrics
+//! stream, plus the device maps and merged logs over the cores —
+//! deeply enough that `restore(snapshot(sim))` followed by
 //! `run_until(h)` is bit-identical to running the original simulator to
 //! `h` uninterrupted (gated by `tests/snapshot_equivalence.rs`).
 //!
@@ -11,8 +12,8 @@
 //! is the kernel [`Snap`] codec under a magic/version header. Decoding is
 //! total: malformed or truncated input yields a typed
 //! [`SnapshotError`], never a panic, and structural invariants the
-//! simulator relies on (shard maps, wakeup arrays, calendar device
-//! indices) are re-validated on the way in.
+//! simulator relies on (device maps, merged logs, wakeup arrays,
+//! calendar device indices) are re-validated on the way in.
 
 use super::*;
 use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
@@ -21,7 +22,7 @@ use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
 const MAGIC: u32 = u32::from_le_bytes(*b"BTSN");
 
 /// Highest wire-format version this build reads and the one it writes.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 btsim_kernel::snap_enum!(Engine, "unknown engine tag" {
     0 => Lockstep,
@@ -67,7 +68,13 @@ btsim_kernel::snap_struct!(DeviceCell {
     sig_rx,
 });
 
-btsim_kernel::snap_struct!(Simulator {
+btsim_kernel::snap_struct!(MergedLogs {
+    events,
+    lm_events,
+    done
+});
+
+btsim_kernel::snap_struct!(Core {
     cal,
     medium,
     devices,
@@ -77,7 +84,6 @@ btsim_kernel::snap_struct!(Simulator {
     lm_events,
     next_window_id,
     steps_since_gc,
-    inspect_cursor,
     engine,
     fidelity,
     error_model,
@@ -90,78 +96,107 @@ btsim_kernel::snap_struct!(Simulator {
     fidelity_promotions,
     fidelity_demotions,
     metrics,
-    shards,
-    shard_of,
-    shard_globals,
-    merge_done,
-    workers,
     comp_of,
     faults,
     crashed,
     muted,
     drifted,
     faults_applied,
+}; validate = validate_core);
+
+btsim_kernel::snap_struct!(Simulator {
+    cores,
+    core_of,
+    globals,
+    merged,
+    workers,
+    faults,
+    inspect_cursor,
 }; validate = validate);
 
-/// Structural invariants every decoded simulator must satisfy before it
-/// can run: any index a dispatch path uses unchecked is range-checked
-/// here, so a corrupted stream is rejected instead of panicking later.
+/// Structural invariants every decoded core must satisfy before it can
+/// run: any index a dispatch path uses unchecked is range-checked here,
+/// so a corrupted stream is rejected instead of panicking later.
+fn validate_core(core: &Core, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
+    let n = core.devices.len();
+    if core.wake.len() != n {
+        return Err(r.malformed("wakeup array length mismatches device count"));
+    }
+    if !core.comp_of.is_empty() && core.comp_of.len() != n {
+        return Err(r.malformed("component map length mismatches device count"));
+    }
+    if core.crashed.len() != n || core.muted.len() != n || core.drifted.len() != n {
+        return Err(r.malformed("fault flag array length mismatches device count"));
+    }
+    if core.faults.max_device().is_some_and(|max| max >= n) {
+        return Err(r.malformed("fault plan targets unknown device"));
+    }
+    for (_, _, ev) in core.cal.entries() {
+        let ok = match ev {
+            Ev::Tick(d)
+            | Ev::Command { dev: d, .. }
+            | Ev::TxStart { dev: d, .. }
+            | Ev::WindowOpen { dev: d, .. }
+            | Ev::WindowClose { dev: d, .. } => *d < n,
+            Ev::Deliver { listeners, .. } => listeners.iter().all(|&l| l < n),
+            Ev::Wake { .. } => true,
+            Ev::Fault { idx } => *idx < core.faults.events().len(),
+        };
+        if !ok {
+            return Err(r.malformed("calendar event references unknown device"));
+        }
+    }
+    Ok(())
+}
+
+/// The invariants across cores: at least one core, all at the same
+/// instant; merged logs present iff there is more than one core, with a
+/// merge cursor per core inside its logs; and device maps that are a
+/// bijection between global ids and (core, local index) pairs.
 fn validate(sim: &Simulator, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
+    let Some(first) = sim.cores.first() else {
+        return Err(r.malformed("simulator has no core"));
+    };
+    if sim.cores.iter().any(|c| c.cal.now() != first.cal.now()) {
+        return Err(r.malformed("core clocks disagree"));
+    }
     if sim.workers == 0 {
         return Err(r.malformed("worker count must be at least 1"));
     }
-    if sim.shards.is_empty() {
-        if sim.wake.len() != sim.devices.len() {
-            return Err(r.malformed("wakeup array length mismatches device count"));
+    if sim.merged.is_some() != (sim.cores.len() > 1) {
+        return Err(r.malformed("merged logs must be present iff there are several cores"));
+    }
+    if let Some(merged) = &sim.merged {
+        if merged.done.len() != sim.cores.len() {
+            return Err(r.malformed("merge cursor table mismatches core count"));
         }
-        if !sim.comp_of.is_empty() && sim.comp_of.len() != sim.devices.len() {
-            return Err(r.malformed("component map length mismatches device count"));
-        }
-        let n = sim.devices.len();
-        if sim.crashed.len() != n || sim.muted.len() != n || sim.drifted.len() != n {
-            return Err(r.malformed("fault flag array length mismatches device count"));
-        }
-        if sim.faults.max_device().is_some_and(|max| max >= n) {
-            return Err(r.malformed("fault plan targets unknown device"));
-        }
-        for (_, _, ev) in sim.cal.entries() {
-            let ok = match ev {
-                Ev::Tick(d)
-                | Ev::Command { dev: d, .. }
-                | Ev::TxStart { dev: d, .. }
-                | Ev::WindowOpen { dev: d, .. }
-                | Ev::WindowClose { dev: d, .. } => *d < n,
-                Ev::Deliver { listeners, .. } => listeners.iter().all(|&l| l < n),
-                Ev::Wake { .. } => true,
-                Ev::Fault { idx } => *idx < sim.faults.events().len(),
-            };
-            if !ok {
-                return Err(r.malformed("calendar event references unknown device"));
+        for (core, &(lc, lm)) in sim.cores.iter().zip(&merged.done) {
+            if lc > core.events.len() || lm > core.lm_events.len() {
+                return Err(r.malformed("merge cursor beyond core event log"));
             }
         }
-    } else {
-        if sim.shard_globals.len() != sim.shards.len() {
-            return Err(r.malformed("shard globals table mismatches shard count"));
+    }
+    if sim.globals.len() != sim.cores.len()
+        || sim
+            .globals
+            .iter()
+            .zip(&sim.cores)
+            .any(|(g, c)| g.len() != c.devices.len())
+        || sim.globals.iter().map(Vec::len).sum::<usize>() != sim.core_of.len()
+    {
+        return Err(r.malformed("device maps mismatch core sizes"));
+    }
+    for (d, &(c, l)) in sim.core_of.iter().enumerate() {
+        if sim.globals.get(c).and_then(|g| g.get(l)) != Some(&d) {
+            return Err(r.malformed("device maps are not a bijection"));
         }
-        if sim.merge_done.len() != sim.shards.len() {
-            return Err(r.malformed("merge cursor table mismatches shard count"));
-        }
-        for (d, &(s, l)) in sim.shard_of.iter().enumerate() {
-            if s >= sim.shards.len()
-                || l >= sim.shards[s].devices.len()
-                || sim.shard_globals[s].get(l) != Some(&d)
-            {
-                return Err(r.malformed("shard map references unknown device"));
-            }
-        }
-        for (shard, (done_lc, done_lm)) in sim.shards.iter().zip(&sim.merge_done) {
-            if !shard.shards.is_empty() {
-                return Err(r.malformed("shards must not nest"));
-            }
-            if *done_lc > shard.events.len() || *done_lm > shard.lm_events.len() {
-                return Err(r.malformed("merge cursor beyond shard event log"));
-            }
-        }
+    }
+    if sim
+        .faults
+        .max_device()
+        .is_some_and(|max| max >= sim.core_of.len())
+    {
+        return Err(r.malformed("fault plan targets unknown device"));
     }
     Ok(())
 }
@@ -293,23 +328,10 @@ impl Simulator {
     /// runs over an identical formed topology.
     pub fn reseed_for_fork(&mut self, fork_seed: u64) {
         let root = SimRng::new(fork_seed);
-        self.medium.reseed(root.fork(0xC4A7));
-        if self.sharded() {
-            for s in 0..self.shards.len() {
-                self.shards[s].medium.reseed(root.fork(0xC4A7));
-                for l in 0..self.shards[s].devices.len() {
-                    let g = self.shard_globals[s][l] as u64;
-                    self.shards[s].devices[l]
-                        .lc
-                        .reseed(root.fork(0x20_0000 + g).seed());
-                }
-            }
-        } else {
-            // A public monolithic simulator always has global id == local
-            // index (globals-keyed builds only occur inside shards, which
-            // the branch above re-keys through `shard_globals`).
-            for (i, cell) in self.devices.iter_mut().enumerate() {
-                cell.lc.reseed(root.fork(0x20_0000 + i as u64).seed());
+        for (core, globals) in self.cores.iter_mut().zip(&self.globals) {
+            core.medium.reseed(root.fork(0xC4A7));
+            for (cell, &g) in core.devices.iter_mut().zip(globals) {
+                cell.lc.reseed(root.fork(0x20_0000 + g as u64).seed());
             }
         }
     }

@@ -115,7 +115,7 @@ fn lmp_negotiated_switch_keeps_master_and_slave_hop_synchronized() {
     // keeps flowing (which would stall within a few slots if the two
     // ends hopped on different maps).
     let stats_before = sim.tx_stats();
-    let quality_before = sim.channel_quality().clone();
+    let quality_before = sim.channel_quality();
     let window_start = sim.now();
     sim.run_until(window_start + SimDuration::from_slots(1_000));
     let delta = sim.tx_stats().since(stats_before);

@@ -398,7 +398,7 @@ proptest! {
 
 mod snapshot_images;
 
-/// Pins the v1 wire format: the length and 64-bit FNV-1a digest of
+/// Pins the v2 wire format: the length and 64-bit FNV-1a digest of
 /// each fixed-seed image in `snapshot_images` (whose module docs list
 /// which image covers which snapshotted types). Any change to the byte
 /// layout of any of those types fails here; such a change must bump
@@ -407,14 +407,14 @@ mod snapshot_images;
 /// (x86_64 Linux, glibc): a few images carry transcendental-derived
 /// `f64`s.
 #[test]
-fn v1_wire_format_is_pinned() {
+fn v2_wire_format_is_pinned() {
     const PINS: [(&str, usize, u64); 6] = [
-        ("inquiry", 30_021, 0x6b18_149e_6000_f3f0),
-        ("page", 5_647, 0x44a8_6c37_7f0c_9da2),
-        ("acl_saturated", 150_245, 0x066d_080d_8f33_97da),
-        ("power_modes", 45_656, 0x7ad4_f99b_cc8f_d220),
-        ("afh_capture", 206_148, 0x2d39_b7e7_6bcf_d781),
-        ("dense_floor_faulted", 894_957, 0x886a_65b1_c22b_9fbe),
+        ("inquiry", 30_102, 0x9c5d_9ce1_c59e_0005),
+        ("page", 5_704, 0x2fbf_095f_89dc_4ac5),
+        ("acl_saturated", 150_302, 0xc168_64ef_1e9b_ecf1),
+        ("power_modes", 45_785, 0x7f47_4390_b1b6_83d9),
+        ("afh_capture", 206_205, 0x17b4_6073_faf4_b9c8),
+        ("dense_floor_faulted", 891_564, 0x1b52_383d_9f34_761c),
     ];
     const METRICS_PIN: (usize, u64) = (751, 0x2cd8_a98b_5143_e1ee);
     let images = snapshot_images::images();
@@ -422,7 +422,7 @@ fn v1_wire_format_is_pinned() {
     for ((name, bytes), (pin_name, len, digest)) in images.iter().zip(PINS) {
         assert_eq!(*name, pin_name);
         let got = (bytes.len(), snapshot_images::fnv1a(bytes));
-        assert_eq!(got, (len, digest), "{name}: v1 snapshot image changed");
+        assert_eq!(got, (len, digest), "{name}: v2 snapshot image changed");
         let decoded = SimSnapshot::from_bytes(bytes).expect("pinned image decodes");
         assert_eq!(&decoded.to_bytes(), bytes, "{name}: re-encoding differs");
     }

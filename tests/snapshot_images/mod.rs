@@ -1,6 +1,7 @@
-//! Fixed-seed simulators whose snapshot images pin the v1 wire format
-//! (`docs/SNAPSHOT.md`). Shared by the pin test in
-//! `snapshot_equivalence.rs` and the decoder fuzz in `snapshot_fuzz.rs`.
+//! Fixed-seed simulators whose snapshot images pin the wire format
+//! (`docs/SNAPSHOT.md`). Shared by the pin tests in
+//! `snapshot_equivalence.rs` and the decoder fuzzes in `snapshot_fuzz.rs`
+//! and `input_fuzz.rs`.
 //!
 //! Which image reaches which snapshotted types:
 //!
@@ -16,7 +17,7 @@
 //!   engine at the stat tier: `MasterCtx`, `SlaveSlot`, `SlaveCtx`,
 //!   `LinkState`, `TxBuffer`/`TxMessage`, `Llid`, `PacketType`,
 //!   `Ev::{Wake, TxStart, Deliver, WindowOpen, WindowClose}`,
-//!   `PendingWindow`, `LoggedEvent`, `DeviceCell`, `PowerMonitor`/
+//!   `PendingWindow`, `LoggedEvent`, `DeviceCell`, `Core`, `PowerMonitor`/
 //!   `DeviceAccount`/`PhaseTotals`, the stat-tier counters.
 //! * `power_modes` — one master with sniff, hold, park and SCO slaves,
 //!   the last two negotiated over LMP and still in flight, plus one
@@ -35,8 +36,8 @@
 //!   `MetricsSnapshot` on its own instead.
 //! * `dense_floor_faulted` — a sharded spatial floor split mid-outage
 //!   under a fault plan of every kind: `Position`, `SpatialConfig`,
-//!   `Degrade`, the shard tree (`shards`, `shard_of`, `shard_globals`,
-//!   `merge_done`), `FaultPlan`/`FaultEvent`/`FaultKind`, `Ev::Fault`.
+//!   `Degrade`, several cores with their device maps and `MergedLogs`,
+//!   `FaultPlan`/`FaultEvent`/`FaultKind`, `Ev::Fault`.
 
 #![allow(dead_code)]
 

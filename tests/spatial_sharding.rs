@@ -37,6 +37,18 @@ fn per_device_digest(sim: &Simulator, with_power: bool) -> String {
         sim.rng_fingerprint(),
         sim.steps_total() > 0,
     );
+    let quality = sim.channel_quality();
+    let per_channel: Vec<_> = (0..79).map(|ch| quality.channel(ch)).collect();
+    writeln!(out, "quality={per_channel:?}").expect("string write");
+    let metrics = sim.metrics_snapshot();
+    let medium = |name: &String| name.starts_with("medium.");
+    let counters: Vec<_> = metrics
+        .counters()
+        .iter()
+        .filter(|(n, _)| medium(n))
+        .collect();
+    let gauges: Vec<_> = metrics.gauges().iter().filter(|(n, _)| medium(n)).collect();
+    writeln!(out, "metrics={counters:?} {gauges:?}").expect("string write");
     for d in 0..sim.device_count() {
         let events: Vec<_> = sim.events().iter().filter(|e| e.device == d).collect();
         let lm: Vec<_> = sim.lm_events().iter().filter(|e| e.device == d).collect();

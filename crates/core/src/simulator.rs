@@ -1074,7 +1074,8 @@ impl Simulator {
     ///
     /// The search steps whichever core holds the earliest pending
     /// calendar event (ties to the lowest core index), merging new
-    /// events into the log after every step, until one matches. Because
+    /// events into the log after every step that logs one, until one
+    /// matches. Because
     /// stepping is globally time-ordered, every cross-core observable —
     /// log contents, the matched event, the stop instant — is
     /// independent of the core layout and worker count.
@@ -1105,18 +1106,23 @@ impl Simulator {
                     return Ok(found);
                 }
             }
-            let next = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter_map(|(i, core)| core.cal.peek_time().map(|t| (t, i)))
-                .min();
+            // The earliest pending event (ties to the lowest core index)
+            // and the earliest of the other cores, its rival.
+            let (mut next, mut rival) = (None, None);
+            for (i, core) in self.cores.iter().enumerate() {
+                let Some(t) = core.cal.peek_time() else {
+                    continue;
+                };
+                if next.is_none_or(|n| (t, i) < n) {
+                    rival = next;
+                    next = Some((t, i));
+                } else if rival.is_none_or(|r| (t, i) < r) {
+                    rival = Some((t, i));
+                }
+            }
             match next {
                 Some((t, i)) if t <= cap => {
-                    frontier = t;
-                    let core = &mut self.cores[i];
-                    core.run_cap = cap;
-                    core.step();
+                    frontier = self.cores[i].step_until_logged(cap, i, rival);
                     self.merge_logs();
                 }
                 _ => {
@@ -1284,6 +1290,35 @@ impl Core {
             self.step();
         }
         self.cal.advance_to(until);
+    }
+
+    /// The event search's unit of work for core `me`: steps events up
+    /// to `cap`, each only while it precedes `rival` (the next event of
+    /// any other core) in the search's global `(instant, core)` order,
+    /// and stops after the first step that logs an LC event. Returns
+    /// the instant of the last step. Steps that log nothing need no
+    /// scan or merge, so batching them takes exactly the steps the
+    /// one-at-a-time search would.
+    fn step_until_logged(
+        &mut self,
+        cap: SimTime,
+        me: usize,
+        rival: Option<(SimTime, usize)>,
+    ) -> SimTime {
+        self.run_cap = cap;
+        let logged = self.events.len();
+        let mut last = self.cal.now();
+        while let Some(t) = self.cal.peek_time() {
+            if t > cap || rival.is_some_and(|r| (t, me) > r) {
+                break;
+            }
+            self.step();
+            last = t;
+            if self.events.len() > logged {
+                break;
+            }
+        }
+        last
     }
 
     /// Power/activity report of local device `dev` over `[0, now]`.

@@ -456,7 +456,7 @@ impl SimBuilder {
             Some(spatial) => Self::components(&self.positions, spatial),
             None => Vec::new(),
         };
-        let globals: Vec<Vec<usize>> = if workers > 1 && !comp_of.is_empty() && n > 1 {
+        let globals: Vec<Vec<usize>> = if workers > 1 && !comp_of.is_empty() {
             let mut members = vec![Vec::new(); comp_of.iter().max().map_or(0, |&c| c + 1)];
             for (d, &c) in comp_of.iter().enumerate() {
                 members[c].push(d);

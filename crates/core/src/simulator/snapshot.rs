@@ -422,6 +422,57 @@ mod tests {
         assert_eq!(sim.rng_fingerprint(), reseeded.rng_fingerprint());
     }
 
+    /// Two idle clusters 100 m apart on a spatial floor,
+    /// built with `shards` workers: two cores when sharded.
+    fn two_cluster_sim(shards: usize) -> Simulator {
+        let mut cfg = crate::net::DenseFloorConfig::default().sim;
+        cfg.shards = shards;
+        let mut b = crate::SimBuilder::new(31, cfg);
+        for x in [0.0, 0.0, 100.0, 100.0] {
+            b.add_device_at("d", btsim_channel::Position::new(x, 0.0));
+        }
+        let mut sim = b.build();
+        sim.command(1, LcCommand::InquiryScan);
+        sim.run_until(SimTime::from_us(100_000));
+        sim
+    }
+
+    /// The `Malformed` message a corrupted simulator decodes to.
+    fn rejection(sim: Simulator) -> &'static str {
+        match SimSnapshot::from_bytes(&SimSnapshot { sim }.to_bytes()) {
+            Err(SnapshotError::Malformed { what, .. }) => what,
+            other => panic!("expected a Malformed error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn inconsistent_cores_are_rejected() {
+        let sharded = two_cluster_sim(2);
+        assert_eq!(sharded.cores.len(), 2);
+        assert!(SimSnapshot::from_bytes(&sharded.snapshot().to_bytes()).is_ok());
+        let one = two_cluster_sim(1);
+        assert_eq!(one.cores.len(), 1);
+
+        let mut s = sharded.clone();
+        s.merged = None;
+        assert!(rejection(s).contains("merged logs"));
+        let mut s = one.clone();
+        s.merged = sharded.merged.clone();
+        assert!(rejection(s).contains("merged logs"));
+        let mut s = sharded.clone();
+        s.core_of.swap(0, 2);
+        assert!(rejection(s).contains("bijection"));
+        let mut s = sharded.clone();
+        s.globals[1].pop();
+        assert!(rejection(s).contains("device maps"));
+        let mut s = sharded.clone();
+        s.cores[1].cal.advance_to(SimTime::from_us(200_000));
+        assert!(rejection(s).contains("clocks"));
+        let mut s = one;
+        s.cores.clear();
+        assert!(rejection(s).contains("no core"));
+    }
+
     #[test]
     fn malformed_bytes_are_rejected_not_panicked() {
         let sim = connected_sim(14);

@@ -130,7 +130,11 @@ mod tests {
     fn skewed_costs_keep_seed_order() {
         let f = |seed: u64| {
             // Every fifth run costs ~50x more than the others.
-            let spins = if seed.is_multiple_of(5) { 200_000 } else { 4_000 };
+            let spins = if seed.is_multiple_of(5) {
+                200_000
+            } else {
+                4_000
+            };
             (0..spins).fold(seed, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
         };
         let seq = run_campaign(37, 1, 9, f);

@@ -131,6 +131,10 @@ fn validate_core(core: &Core, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
     if core.faults.max_device().is_some_and(|max| max >= n) {
         return Err(r.malformed("fault plan targets unknown device"));
     }
+    // Merging maps each logged device through the core's device map.
+    if core.events.iter().any(|e| e.device >= n) || core.lm_events.iter().any(|e| e.device >= n) {
+        return Err(r.malformed("logged event references unknown device"));
+    }
     for (_, _, ev) in core.cal.entries() {
         let ok = match ev {
             Ev::Tick(d)
@@ -465,6 +469,9 @@ mod tests {
         let mut s = sharded.clone();
         s.globals[1].pop();
         assert!(rejection(s).contains("device maps"));
+        let mut s = sharded.clone();
+        s.cores[0].events[0].device = 2;
+        assert!(rejection(s).contains("logged event"));
         let mut s = sharded.clone();
         s.cores[1].cal.advance_to(SimTime::from_us(200_000));
         assert!(rejection(s).contains("clocks"));

@@ -1347,14 +1347,7 @@ impl Core {
         // Streaming metrics: one comparison per dispatched event when
         // enabled, one `Option` discriminant test when not.
         if self.metrics.as_ref().is_some_and(|m| t >= m.next_at) {
-            // Streaming pins the run to one core: this core is the
-            // whole simulator, its devices in global order.
-            let identity: Vec<(usize, usize)> = (0..self.devices.len()).map(|l| (0, l)).collect();
-            let logs = (self.events.len(), self.lm_events.len());
-            let snap = metrics_of(std::slice::from_ref(self), &identity, logs);
-            if let Some(m) = self.metrics.as_mut() {
-                m.emit(snap);
-            }
+            self.emit_metrics();
         }
         match ev {
             Ev::Tick(dev) => {
@@ -1504,6 +1497,19 @@ impl Core {
                 self.commit_rx(dev, w.opened_at, t);
             }
             Ev::Fault { idx } => self.apply_fault(idx, t),
+        }
+    }
+
+    /// Streams one metrics line, out of the dispatch path. Streaming
+    /// pins the run to one core, so this core is the whole simulator,
+    /// its devices in global order.
+    #[cold]
+    fn emit_metrics(&mut self) {
+        let identity: Vec<(usize, usize)> = (0..self.devices.len()).map(|l| (0, l)).collect();
+        let logs = (self.events.len(), self.lm_events.len());
+        let snap = metrics_of(std::slice::from_ref(self), &identity, logs);
+        if let Some(m) = self.metrics.as_mut() {
+            m.emit(snap);
         }
     }
 

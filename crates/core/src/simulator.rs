@@ -643,9 +643,9 @@ impl SimBuilder {
 /// A simulator is a set of cores, each a discrete-event engine of its
 /// own — one per connected component of the in-range graph on a sharded
 /// spatial run, exactly one otherwise — behind a global device
-/// numbering. Per-device calls go through the
-/// device map, aggregates fold over the cores, and only the event logs
-/// and `run_until`'s thread fan-out tell one core from many.
+/// numbering. Per-device calls go through the device map, aggregates
+/// fold over the cores, and only the event logs and `run_until`'s
+/// thread fan-out tell one core from many.
 ///
 /// # Examples
 ///
